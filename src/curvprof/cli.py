@@ -19,15 +19,15 @@ import numpy as np
 
 from . import embed as embed_mod
 from . import generate as gen_mod
-from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph, load_point_cloud
+from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph
 from .metric import (
     EmptyResultError,
     Graph,
     InputError,
+    _read_csv,
     distance_matrix_from_array,
     gromov_products,
     lambda_measure,
-    load_distance_csv,
     load_edge_list,
     shortest_path_matrix,
 )
@@ -54,12 +54,14 @@ EXIT_INTERNAL = 4
 EDGE_EXTENSIONS = {".edges", ".edgelist", ".txt", ".tsv"}
 
 
-def _default_seed():
-    return int(os.environ.get("CURVPROF_SEED", "0"))
-
-
-def _default_workers():
-    return int(os.environ.get("CURVPROF_WORKERS", str(os.cpu_count() or 1)))
+def _env_int(name, default):
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"environment variable {name}={raw!r} is not an integer") from None
 
 
 def _looks_square_metric(arr):
@@ -79,25 +81,14 @@ def load_input(path, fmt=None):
     distance matrix when square/symmetric/zero-diagonal and a point cloud
     otherwise. ``fmt`` overrides detection.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"{path}: no such file")
+    if fmt is None and Path(path).suffix.lower() in EDGE_EXTENSIONS:
+        fmt = "edgelist"
     if fmt == "edgelist":
         return "graph", load_edge_list(path)
-    if fmt == "distmatrix":
-        return "dist", load_distance_csv(path)
-    if fmt == "points":
-        return "points", load_point_cloud(path)
-    if fmt is not None:
+    if fmt not in (None, "distmatrix", "points"):
         raise InputError(f"unknown format {fmt!r}")
-    if path.suffix.lower() in EDGE_EXTENSIONS:
-        return "graph", load_edge_list(path)
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        cloud = load_point_cloud(path)  # retries with a skipped header row
-        return "points", cloud
-    if _looks_square_metric(arr):
+    arr = _read_csv(path)
+    if fmt == "distmatrix" or (fmt is None and _looks_square_metric(arr)):
         return "dist", distance_matrix_from_array(arr)
     return "points", PointCloud(coords=arr)
 
@@ -272,32 +263,20 @@ def cmd_rho(args):
     return EXIT_OK
 
 
-def _mds_input_matrix(kind, data, args):
-    if kind == "dist":
-        return data
-    if kind == "graph":
-        return shortest_path_matrix(data)
-    from scipy.spatial.distance import pdist, squareform
-
-    return distance_matrix_from_array(squareform(pdist(data.coords)))
-
-
 def cmd_embed(args):
     kind, data = load_input(args.input, _format_from_args(args))
     dims = _parse_dims(args.dims)
     cfg = _resolved_config(args, "embed")
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     report = {"config": cfg, "dimensions": {}}
+    if args.method == "mds":
+        full = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
+    elif kind != "graph" and args.k is None:
+        raise InputError("isomap on a point cloud or metric needs --k")
+    else:
+        full = embed_mod.isomap(data, k=args.k or 0, d=dims[-1])
     for d in dims:
-        if args.method == "mds":
-            res = embed_mod.classical_mds(_mds_input_matrix(kind, data, args), d)
-        else:
-            if kind == "graph":
-                res = embed_mod.isomap(data, k=args.k or 0, d=d)
-            else:
-                if args.k is None:
-                    raise InputError("isomap on a point cloud or metric needs --k")
-                res = embed_mod.isomap(data, k=args.k, d=d)
+        res = embed_mod._leading(full, d)
         path = f"{out}.d{d}.csv"
         np.savetxt(path, res.points.coords, delimiter=",")
         report["dimensions"][str(d)] = {
@@ -364,19 +343,17 @@ def cmd_estimate_dim(args):
     if original.is_empty:
         raise EmptyResultError("original profile is empty")
 
-    n_points = D0.n
-    clouds = {}
     if args.method == "external":
         if not args.embeddings_dir:
             raise InputError("--method external needs --embeddings-dir")
-        clouds = _external_embeddings(args.embeddings_dir, dims, n_points)
+        clouds = _external_embeddings(args.embeddings_dir, dims, D0.n)
     else:
-        for d in dims:
-            if args.method == "mds":
-                # re-embed the dataset's own metric, not the profile graph
-                clouds[d] = embed_mod.classical_mds(_mds_input_matrix(kind, data, args), d).points
-            else:
-                clouds[d] = embed_mod.isomap(data, k=embed_k, d=d).points
+        if args.method == "mds":
+            # re-embed the dataset's own metric, not the profile graph
+            full = embed_mod.classical_mds(D0 if kind == "graph" else data, dims[-1])
+        else:
+            full = embed_mod.isomap(data, k=embed_k, d=dims[-1])
+        clouds = {d: embed_mod._leading(full, d).points for d in dims}
 
     profiles = {}
     for d, cloud in clouds.items():
@@ -481,11 +458,11 @@ def _add_graph_opts(p):
 
 def _add_profile_opts(p):
     p.add_argument("-m", type=float, default=0.1, help="per-scale sample fraction (default 0.1)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
     p.add_argument("--side-bin", type=float, default=None,
                    help="side bin width for weighted metrics (default diameter/50)")
     p.add_argument("--median", action="store_true", help="report per-scale median instead of mean")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", os.cpu_count() or 1))
 
 
 def build_parser():
@@ -543,7 +520,7 @@ def build_parser():
     p.add_argument("--kind", required=True,
                    choices=("er", "ws", "circle", "plane", "tree", "dla", "gaussian"))
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
     p.add_argument("--n", type=int, default=1000, help="node/point count (er, ws, circle, plane, gaussian)")
     p.add_argument("--avg-degree", type=float, default=4.0, help="er: expected degree")
     p.add_argument("--k", type=int, default=4, help="ws: lattice neighbors (even)")
@@ -564,9 +541,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser's defaults read CURVPROF_SEED / CURVPROF_WORKERS
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

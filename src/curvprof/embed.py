@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import PointCloud, knn_graph, load_point_cloud
-from .metric import DistanceMatrix, Graph, InputError, distance_matrix_from_array, shortest_path_matrix
+from .graphs import PointCloud, _pairwise, knn_graph, load_point_cloud
+from .metric import Graph, InputError, _adjacency, distance_matrix_from_array, shortest_path_matrix
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,15 @@ class EmbeddingResult:
     kept_indices: np.ndarray | None = None
 
 
-def _as_distance_array(D):
-    if isinstance(D, DistanceMatrix):
-        if D.sentinel is not None:
-            raise InputError("distance matrix has disconnected pairs: embed components separately")
-        return D.d
-    arr = np.asarray(D, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("expected a square distance matrix")
-    return arr
-
-
 def classical_mds(D, d) -> EmbeddingResult:
     """Classical (Torgerson) MDS of a finite metric into d dimensions.
 
     Double-centers the squared distances, takes the top-d eigenpairs of the
     resulting Gram matrix, clamps negative eigenvalues to zero and fixes
-    each axis sign so its largest-magnitude coordinate is positive.
+    each axis sign so its largest-magnitude coordinate is positive. ``D``
+    is a DistanceMatrix, a square array, or a PointCloud (Euclidean metric).
     """
-    arr = _as_distance_array(D)
+    arr = _pairwise(D)
     n = arr.shape[0]
     if not (1 <= d < n):
         raise InputError(f"target dimension d={d} must satisfy 1 <= d < n={n}")
@@ -61,23 +51,31 @@ def classical_mds(D, d) -> EmbeddingResult:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    top = evals[:d]
-    clamped = np.maximum(top, 0.0)
-    n_clamped = int(np.sum(top < 0))
-    coords = evecs[:, :d] * np.sqrt(clamped)
+    coords = evecs[:, :d] * np.sqrt(np.maximum(evals[:d], 0.0))
     for col in range(d):
         pivot = np.argmax(np.abs(coords[:, col]))
         if coords[pivot, col] < 0:
             coords[:, col] = -coords[:, col]
-    total_mass = float(np.abs(evals).sum())
-    carried = float(clamped.sum())
+    return _leading(EmbeddingResult(PointCloud(coords=coords), evals, d, 0.0, 0), d)
+
+
+def _leading(res: EmbeddingResult, d) -> EmbeddingResult:
+    """The first d axes of an embedding, with stress and clamping counted for d.
+
+    Axes do not depend on how many are kept, so one solve at the largest
+    dimension serves every smaller one exactly.
+    """
+    top = res.eigenvalues[:d]
+    carried = float(np.maximum(top, 0.0).sum())
+    total_mass = float(np.abs(res.eigenvalues).sum())
     stress = 0.0 if total_mass == 0 else max(0.0, (total_mass - carried) / total_mass)
     return EmbeddingResult(
-        points=PointCloud(coords=coords),
-        eigenvalues=evals,
+        points=PointCloud(coords=res.points.coords[:, :d]),
+        eigenvalues=res.eigenvalues,
         d=d,
         stress=stress,
-        n_clamped=n_clamped,
+        n_clamped=int(np.sum(top < 0)),
+        kept_indices=res.kept_indices,
     )
 
 
@@ -93,37 +91,16 @@ def isomap(data, k, d) -> EmbeddingResult:
     else:
         g = knn_graph(data, k)
     Dm = shortest_path_matrix(g)
-    kept = None
-    if Dm.sentinel is not None:
-        kept = _largest_component(g)
-        warnings.warn(
-            f"kNN graph is disconnected; embedding the largest component ({kept.size} of {g.n} points)",
-            stacklevel=2,
-        )
-        sub = Dm.d[np.ix_(kept, kept)]
-        Dm = distance_matrix_from_array(sub)
-    res = classical_mds(Dm, d)
-    if kept is None:
-        return res
-    return EmbeddingResult(
-        points=res.points,
-        eigenvalues=res.eigenvalues,
-        d=res.d,
-        stress=res.stress,
-        n_clamped=res.n_clamped,
-        kept_indices=kept,
+    if Dm.sentinel is None:
+        return classical_mds(Dm, d)
+    _, labels = connected_components(_adjacency(g), directed=False)
+    kept = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+    warnings.warn(
+        f"kNN graph is disconnected; embedding the largest component ({kept.size} of {g.n} points)",
+        stacklevel=2,
     )
-
-
-def _largest_component(g: Graph):
-    from scipy.sparse import coo_matrix
-
-    ii = np.array([e[0] for e in g.edges], dtype=np.int64)
-    jj = np.array([e[1] for e in g.edges], dtype=np.int64)
-    adj = coo_matrix((np.ones(ii.size), (ii, jj)), shape=(g.n, g.n))
-    _, labels = connected_components(adj, directed=False)
-    sizes = np.bincount(labels)
-    return np.flatnonzero(labels == int(np.argmax(sizes)))
+    res = classical_mds(distance_matrix_from_array(Dm.d[np.ix_(kept, kept)]), d)
+    return replace(res, kept_indices=kept)
 
 
 def load_external_embedding(path, expected_n=None) -> PointCloud:

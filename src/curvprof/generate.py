@@ -24,12 +24,13 @@ def erdos_renyi(n, avg_degree, seed=0) -> Graph:
         raise InputError("need 0 < avg_degree < n-1")
     p = avg_degree / (n - 1)
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        edges.extend((i, i + 1 + int(j), 1.0) for j in hits)
+    # row i draws its n-1-i upper-triangle coins in turn; the draw order
+    # defines the graph
+    hits = [np.flatnonzero(rng.random(n - 1 - i) < p) for i in range(n - 1)]
+    i = np.repeat(np.arange(n - 1), [h.size for h in hits])
+    j = np.concatenate(hits) + i + 1
     return Graph.from_edges(
-        n, edges, params={"kind": "er", "n": n, "avg_degree": avg_degree, "seed": seed}
+        n, np.column_stack((i, j)), params={"kind": "er", "n": n, "avg_degree": avg_degree, "seed": seed}
     )
 
 
@@ -42,11 +43,9 @@ def watts_strogatz(n, k, beta, seed=0) -> Graph:
     if not (0 <= beta <= 1):
         raise InputError("beta must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = set()
-    for offset in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            edges.add((min(i, j), max(i, j)))
+    ring = np.tile(np.arange(n), k // 2)
+    far = (ring + np.repeat(np.arange(1, k // 2 + 1), n)) % n
+    edges = set(zip(np.minimum(ring, far).tolist(), np.maximum(ring, far).tolist()))
     # rewiring preserves the edge count: each lattice edge either stays or
     # moves its far endpoint to a uniformly random non-duplicate target
     for offset in range(1, k // 2 + 1):
@@ -69,9 +68,8 @@ def watts_strogatz(n, k, beta, seed=0) -> Graph:
                 continue
             edges.remove(key)
             edges.add((min(i, w), max(i, w)))
-    edge_list = [(i, j, 1.0) for i, j in sorted(edges)]
     return Graph.from_edges(
-        n, edge_list, params={"kind": "ws", "n": n, "k": k, "beta": beta, "seed": seed}
+        n, list(edges), params={"kind": "ws", "n": n, "k": k, "beta": beta, "seed": seed}
     )
 
 
@@ -106,19 +104,11 @@ def tree_graph(branching, depth) -> Graph:
         raise InputError("branching must be >= 2")
     if depth < 1:
         raise InputError("depth must be >= 1")
-    edges = []
-    next_id = 1
-    frontier = [0]
-    for _ in range(depth):
-        new_frontier = []
-        for v in frontier:
-            for _ in range(branching):
-                edges.append((v, next_id, 1.0))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
+    # breadth-first numbering: the parent of v is (v - 1) // branching
+    v = np.arange(1, (branching ** (depth + 1) - 1) // (branching - 1))
     return Graph.from_edges(
-        next_id, edges, params={"kind": "tree", "branching": branching, "depth": depth}
+        v.size + 1, np.column_stack(((v - 1) // branching, v)),
+        params={"kind": "tree", "branching": branching, "depth": depth},
     )
 
 

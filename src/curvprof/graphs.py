@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
-from .metric import DistanceMatrix, Graph, InputError
+from .metric import DistanceMatrix, Graph, InputError, _read_csv
 
 logger = logging.getLogger(__name__)
 
@@ -59,16 +59,18 @@ class DensityScores:
     k_per_point: np.ndarray
 
 
-def _as_pairwise(data):
-    """Dense pairwise-distance matrix for a PointCloud or precomputed input."""
+def _pairwise(data):
+    """Dense pairwise distances of a PointCloud, DistanceMatrix or square array.
+
+    The one normalizer behind neighborhood graphs and MDS; a metric with
+    disconnected pairs (sentinel entries) is rejected by both.
+    """
     if isinstance(data, PointCloud):
-        if data.n > DENSE_LIMIT:
-            return None
         return squareform(pdist(data.coords))
     if isinstance(data, DistanceMatrix):
         if data.sentinel is not None:
-            raise InputError("precomputed metric with disconnected pairs cannot seed a neighborhood graph")
-        return np.array(data.d)
+            raise InputError("metric has disconnected pairs: use one connected component")
+        return data.d
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("precomputed input must be a square distance matrix")
@@ -76,11 +78,16 @@ def _as_pairwise(data):
 
 
 def _n_points(data):
-    if isinstance(data, PointCloud):
-        return data.n
-    if isinstance(data, DistanceMatrix):
+    if isinstance(data, (PointCloud, DistanceMatrix)):
         return data.n
     return np.asarray(data).shape[0]
+
+
+def _kdtree(data):
+    """A kd-tree over a point cloud too large for a dense pairwise matrix, else None."""
+    if isinstance(data, PointCloud) and data.n > DENSE_LIMIT:
+        return cKDTree(data.coords)
+    return None
 
 
 def _neighbor_lists(data, kmax):
@@ -92,25 +99,18 @@ def _neighbor_lists(data, kmax):
     n = _n_points(data)
     if kmax >= n:
         raise InputError(f"k={kmax} must be smaller than the number of points n={n}")
-    dense = _as_pairwise(data)
-    if dense is not None:
-        d = np.array(dense)
+    tree = _kdtree(data)
+    if tree is None:
+        d = np.array(_pairwise(data))
         np.fill_diagonal(d, np.inf)
         idx = np.argsort(d, axis=1, kind="stable")[:, :kmax]
-        dist = np.take_along_axis(d, idx, axis=1)
-        return idx, dist
-    # large point cloud: kd-tree with an index-aware re-sort of the candidates
-    tree = cKDTree(data.coords)
+        return idx, np.take_along_axis(d, idx, axis=1)
+    # kd-tree: the point itself sorts last as +inf (it may be missing when
+    # duplicates crowd it out), then an index-aware re-sort of the candidates
     dist, idx = tree.query(data.coords, k=kmax + 1)
-    keep_idx = np.empty((n, kmax), dtype=np.int64)
-    keep_dist = np.empty((n, kmax))
-    for i in range(n):
-        mask = idx[i] != i
-        cand_i, cand_d = idx[i][mask][: kmax + 1], dist[i][mask][: kmax + 1]
-        order = np.lexsort((cand_i, cand_d))[:kmax]
-        keep_idx[i] = cand_i[order]
-        keep_dist[i] = cand_d[order]
-    return keep_idx, keep_dist
+    dist[idx == np.arange(n)[:, None]] = np.inf
+    order = np.lexsort((idx, dist), axis=1)[:, :kmax]
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def knn_graph(data, k) -> Graph:
@@ -127,18 +127,19 @@ def epsilon_graph(data, eps) -> Graph:
     """Connect every pair at distance <= eps, weighted by that distance."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    n = _n_points(data)
-    dense = _as_pairwise(data)
-    edges = []
-    if dense is not None:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = dense[iu, ju] <= eps
-        edges = [(int(i), int(j), float(dense[i, j])) for i, j in zip(iu[mask], ju[mask])]
+    tree = _kdtree(data)
+    if tree is None:
+        dense = _pairwise(data)
+        i, j = np.nonzero(np.triu(dense <= eps, k=1))
+        w = dense[i, j]
     else:
-        tree = cKDTree(data.coords)
-        for i, j in sorted(tree.query_pairs(eps)):
-            edges.append((i, j, float(np.linalg.norm(data.coords[i] - data.coords[j]))))
-    return Graph.from_edges(n, edges, params={"rule": "epsilon", "eps": float(eps)})
+        i, j = tree.query_pairs(eps, output_type="ndarray").T
+        diff = data.coords[i] - data.coords[j]
+        # one dot product per pair, the same sum np.linalg.norm takes
+        w = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    return Graph.from_edges(
+        _n_points(data), np.column_stack((i, j, w)), params={"rule": "epsilon", "eps": float(eps)}
+    )
 
 
 def density_scores(data, k_min, k_max, direction="asc") -> DensityScores:
@@ -149,10 +150,12 @@ def density_scores(data, k_min, k_max, direction="asc") -> DensityScores:
     has the same density). ``direction`` controls whether denser points get
     k nearer k_max ("asc", default) or nearer k_min ("desc").
     """
-    _validate_k_range(k_min, k_max, _n_points(data))
-    if direction not in ("asc", "desc"):
-        raise InputError("direction must be 'asc' or 'desc'")
+    _validate_k_range(k_min, k_max, _n_points(data), direction)
     _, dist = _neighbor_lists(data, k_max)
+    return _scores(dist, k_min, k_max, direction)
+
+
+def _scores(dist, k_min, k_max, direction):
     mean_dist = dist.mean(axis=1)
     with np.errstate(divide="ignore"):
         raw = 1.0 / mean_dist
@@ -174,13 +177,12 @@ def density_scores(data, k_min, k_max, direction="asc") -> DensityScores:
 
 def adaptive_graph(data, k_min, k_max, direction="asc") -> Graph:
     """Density-adaptive k-NN graph: per-point k interpolated by density score."""
-    _validate_k_range(k_min, k_max, _n_points(data))
-    scores = density_scores(data, k_min, k_max, direction=direction)
+    _validate_k_range(k_min, k_max, _n_points(data), direction)
     idx, dist = _neighbor_lists(data, k_max)
     return _graph_from_neighbor_selection(
         idx,
         dist,
-        scores.k_per_point,
+        _scores(dist, k_min, k_max, direction).k_per_point,
         params={
             "rule": "adaptive",
             "k_min": int(k_min),
@@ -190,33 +192,32 @@ def adaptive_graph(data, k_min, k_max, direction="asc") -> Graph:
     )
 
 
-def _validate_k_range(k_min, k_max, n):
+def _validate_k_range(k_min, k_max, n, direction):
     if not (1 <= k_min <= k_max):
         raise InputError(f"need 1 <= k_min <= k_max, got ({k_min}, {k_max})")
     if k_max >= n:
         raise InputError(f"k_max={k_max} must be smaller than the number of points n={n}")
+    if direction not in ("asc", "desc"):
+        raise InputError("direction must be 'asc' or 'desc'")
 
 
 def _graph_from_neighbor_selection(idx, dist, k_per_point, params):
-    """Union-symmetrized edge set from per-point neighbor selections."""
-    n = idx.shape[0]
-    edges = {}
-    for i in range(n):
-        for rank in range(int(k_per_point[i])):
-            j = int(idx[i, rank])
-            key = (i, j) if i < j else (j, i)
-            edges.setdefault(key, float(dist[i, rank]))
-    edge_list = [(i, j, w) for (i, j), w in sorted(edges.items())]
-    return Graph.from_edges(n, edge_list, params=params)
+    """Union-symmetrized edge set from per-point neighbor selections.
+
+    Point i selects its first k_per_point[i] neighbors; an edge chosen from
+    both ends keeps the weight seen first in (i, rank) order.
+    """
+    n, kmax = idx.shape
+    take = np.arange(kmax) < np.asarray(k_per_point)[:, None]
+    rows = np.broadcast_to(np.arange(n)[:, None], idx.shape)[take]
+    cols = idx[take]
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    _, first = np.unique(lo * n + hi, return_index=True)
+    return Graph.from_edges(
+        n, np.column_stack((lo[first], hi[first], dist[take][first])), params=params
+    )
 
 
 def load_point_cloud(path) -> PointCloud:
     """Read a point-cloud CSV (one row per point); a header row is auto-skipped."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        try:
-            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: could not parse as numeric CSV: {exc}") from exc
-    return PointCloud(coords=arr)
+    return PointCloud(coords=_read_csv(path))

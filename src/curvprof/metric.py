@@ -8,7 +8,9 @@ instead of infinity.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -28,56 +30,70 @@ class EmptyResultError(RuntimeError):
     """A pipeline stage legitimately produced nothing to work with."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Weighted undirected graph as a canonical edge list.
+    """Weighted undirected graph as canonical edge arrays.
 
-    Edges are stored as (i, j, w) with i < j and w >= 0; zero weights are
-    allowed because neighborhood graphs over point clouds may contain
-    coincident points. ``params`` records how the graph was constructed.
+    ``i``, ``j``, ``w`` are read-only arrays with i < j, sorted by (i, j),
+    and w >= 0; zero weights are allowed because neighborhood graphs over
+    point clouds may contain coincident points. ``params`` records how the
+    graph was constructed.
     """
 
     n: int
-    edges: tuple
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
     params: dict | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_edges(cls, n, edges, params=None, default_weight=1.0):
-        """Normalize and validate an edge iterable into a Graph.
+        """Normalize and validate edges into a Graph.
 
-        Accepts (i, j) or (i, j, w) items; orients every edge as i < j,
-        rejects self-loops, duplicates and negative weights.
+        Accepts (i, j) or (i, j, w) items, or an (m, 2) / (m, 3) array of
+        them; orients every edge as i < j, rejects self-loops, duplicates
+        and negative weights. The first offending edge is reported.
         """
         if n < 1:
             raise InputError("graph needs at least one vertex")
-        seen = set()
-        out = []
-        for e in edges:
-            if len(e) == 2:
-                i, j = e
-                w = default_weight
-            else:
-                i, j, w = e
-            i, j = int(i), int(j)
-            if i == j:
-                raise InputError(f"self-loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i and j < n):
-                raise InputError(f"edge ({i},{j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise InputError(f"duplicate edge ({i},{j})")
-            w = float(w)
-            if w < 0:
-                raise InputError(f"negative edge weight {w} on ({i},{j})")
-            seen.add((i, j))
-            out.append((i, j, w))
-        out.sort()
-        return cls(n=n, edges=tuple(out), params=params)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
+        if arr.size == 0:
+            arr = np.empty((0, 3))
+        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+            raise InputError("edges must be (i, j) or (i, j, w) items")
+        a, b = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        w = arr[:, 2] if arr.shape[1] == 3 else np.full(len(arr), float(default_weight))
+        order = np.lexsort((j, i))  # stable: repeats keep their input order
+        dup = np.zeros(len(arr), dtype=bool)
+        dup[order[1:]] = (i[order[1:]] == i[order[:-1]]) & (j[order[1:]] == j[order[:-1]])
+        bad = np.flatnonzero((i == j) | (i < 0) | (j >= n) | dup | (w < 0))
+        if bad.size:
+            k = bad[0]
+            lo, hi = int(i[k]), int(j[k])
+            if lo == hi:
+                raise InputError(f"self-loop at vertex {lo}")
+            if not (0 <= lo and hi < n):
+                raise InputError(f"edge ({lo},{hi}) out of range for n={n}")
+            if dup[k]:
+                raise InputError(f"duplicate edge ({lo},{hi})")
+            raise InputError(f"negative edge weight {float(w[k])} on ({lo},{hi})")
+        return cls(n=n, i=i[order], j=j[order], w=w[order], params=params)
+
+    @property
+    def edges(self):
+        """The edges as a tuple of (i, j, w) tuples."""
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     @property
     def is_unweighted(self):
-        return all(w == 1.0 for _, _, w in self.edges)
+        return bool(np.all(self.w == 1.0))
 
 
 @dataclass(frozen=True)
@@ -181,6 +197,11 @@ def _finalize_distance_matrix(d):
     )
 
 
+def _adjacency(graph: Graph):
+    """Sparse upper-triangular weighted adjacency (zero-weight edges kept)."""
+    return coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
+
+
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     """All-pairs shortest-path distances of a weighted undirected graph.
 
@@ -190,20 +211,15 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     """
     if graph.n < 1:
         raise InputError("graph has zero vertices")
-    for _, _, w in graph.edges:
-        if w < 0:
-            raise InputError("negative edge weights are not supported")
+    if np.any(graph.w < 0):
+        raise InputError("negative edge weights are not supported")
     n = graph.n
-    if not graph.edges:
+    if graph.i.size == 0:
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
         return _finalize_distance_matrix(d)
-    ii = np.array([e[0] for e in graph.edges])
-    jj = np.array([e[1] for e in graph.edges])
-    ww = np.array([e[2] for e in graph.edges], dtype=np.float64)
-    adj = coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
     unweighted = graph.is_unweighted
-    d = shortest_path(adj, method="auto", directed=False, unweighted=unweighted)
+    d = shortest_path(_adjacency(graph), method="auto", directed=False, unweighted=unweighted)
     if unweighted:
         d = d.astype(np.float64)
     return _finalize_distance_matrix(d)
@@ -264,6 +280,29 @@ def lambda_measure(d12, d13, d23, rel_tol=EXACT_SIDE_RTOL) -> TripleShape:
     return TripleShape(lam=lam, is_degenerate=is_degenerate, is_equilateral=is_equilateral)
 
 
+def _read_text(path):
+    """Contents of a regular text file; anything that cannot be read is an InputError."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{path}: " + ("not a regular file" if path.exists() else "no such file"))
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
+
+
+def _read_csv(path):
+    """A numeric CSV as a 2-D float array; one header row is auto-skipped."""
+    text = _read_text(path)
+    try:
+        return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError:
+        try:
+            return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: could not parse as numeric CSV: {exc}") from exc
+
+
 def load_edge_list(path) -> Graph:
     """Read a `u v [w]` whitespace-separated edge list.
 
@@ -271,33 +310,27 @@ def load_edge_list(path) -> Graph:
     auto-detected from the minimum index seen.
     """
     raw = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise InputError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-numeric field") from exc
-            raw.append((u, v, w))
+    for lineno, line in enumerate(io.StringIO(_read_text(path)), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise InputError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-numeric field") from exc
+        raw.append((u, v, w))
     if not raw:
         raise InputError(f"{path}: no edges found")
-    min_idx = min(min(u, v) for u, v, _ in raw)
-    offset = 1 if min_idx >= 1 else 0
-    raw = [(u - offset, v - offset, w) for u, v, w in raw]
-    n = max(max(u, v) for u, v, _ in raw) + 1
-    return Graph.from_edges(n, raw, params={"source": str(path)})
+    edges = np.array(raw)
+    if edges[:, :2].min() >= 1:  # 1-based ids
+        edges[:, :2] -= 1
+    return Graph.from_edges(int(edges[:, :2].max()) + 1, edges, params={"source": str(path)})
 
 
 def load_distance_csv(path) -> DistanceMatrix:
-    """Read a square, header-free, comma-separated distance matrix."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"{path}: could not parse as numeric CSV: {exc}") from exc
-    return distance_matrix_from_array(arr)
+    """Read a square, comma-separated distance matrix (a header row is skipped)."""
+    return distance_matrix_from_array(_read_csv(path))

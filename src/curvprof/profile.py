@@ -25,6 +25,7 @@ from .metric import (
     EXACT_SIDE_RTOL,
     DistanceMatrix,
     InputError,
+    _read_text,
     gromov_products,
 )
 
@@ -434,11 +435,10 @@ def save_profile_json(p: CurvatureProfile, path):
 
 
 def load_profile_json(path) -> CurvatureProfile:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
     return profile_from_dict(data)
 
 

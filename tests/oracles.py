@@ -134,3 +134,50 @@ def random_connected_er(rng, n, p):
             parent[find(i)] = find(j)
         if len({find(i) for i in range(n)}) == 1:
             return edges
+
+
+def graph_edges_loop(n, edges, default_weight=1.0):
+    """Per-edge canonicalization: the sorted (i, j, w) tuple Graph.from_edges must give.
+
+    Raises InputError on the first self-loop, out-of-range id, duplicate
+    or negative weight, checked in that order edge by edge.
+    """
+    from curvprof import InputError
+
+    if n < 1:
+        raise InputError("graph needs at least one vertex")
+    seen = set()
+    out = []
+    for e in edges:
+        if len(e) == 2:
+            i, j = e
+            w = default_weight
+        else:
+            i, j, w = e
+        i, j = int(i), int(j)
+        if i == j:
+            raise InputError(f"self-loop at vertex {i}")
+        if i > j:
+            i, j = j, i
+        if not (0 <= i and j < n):
+            raise InputError(f"edge ({i},{j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise InputError(f"duplicate edge ({i},{j})")
+        w = float(w)
+        if w < 0:
+            raise InputError(f"negative edge weight {w} on ({i},{j})")
+        seen.add((i, j))
+        out.append((i, j, w))
+    out.sort()
+    return tuple(out)
+
+
+def neighbor_selection_loop(idx, dist, k_per_point):
+    """Dict-based union of per-point neighbor selections; first-seen weight wins."""
+    edges = {}
+    for i in range(idx.shape[0]):
+        for rank in range(int(k_per_point[i])):
+            j = int(idx[i, rank])
+            key = (i, j) if i < j else (j, i)
+            edges.setdefault(key, float(dist[i, rank]))
+    return tuple((i, j, w) for (i, j), w in sorted(edges.items()))

@@ -290,6 +290,47 @@ class TestEnvironmentOverrides:
         payload = json.loads((tmp_path / "p.profile.json").read_text())
         assert payload["meta"]["seed"] == 123
 
+    @pytest.mark.parametrize("var", ["CURVPROF_SEED", "CURVPROF_WORKERS"])
+    def test_non_integer_env_value_exits_2(self, tmp_path, monkeypatch, capsys, var):
+        monkeypatch.setenv(var, "abc")
+        inp = tmp_path / "c.edges"
+        write_cycle(inp, 12)
+        assert cli.main(["profile", str(inp), "--out", str(tmp_path / "p")]) == 2
+        assert var in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("name", ["data.csv", "data.edges"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "{}", "--k", "3"],
+            ["rho", "{}", "0", "1", "2"],
+            ["embed", "{}", "--dims", "2"],
+            ["estimate-dim", "{}"],
+            ["compare", "{}", "{}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_exits_2(self, tmp_path, capsys, name, argv):
+        directory = tmp_path / name
+        directory.mkdir()
+        assert cli.main([a.format(directory) for a in argv]) == 2
+        assert "not a regular file" in capsys.readouterr().err
+
+
+class TestComputedOnce:
+    def test_estimate_dim_solves_one_eigenproblem(self, tmp_path, monkeypatch):
+        inp = tmp_path / "pts.csv"
+        np.savetxt(inp, np.random.default_rng(4).standard_normal((60, 3)), delimiter=",")
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
+        rc = cli.main(["estimate-dim", str(inp), "--dims", "1-8", "--kmin", "5", "--kmax", "8",
+                       "-m", "0.2", "--out", str(tmp_path / "est")])
+        assert rc == 0
+        assert len(calls) == 1
+
 
 class TestPrecomputedMetric:
     def test_metric_flag_routes_square_csv(self, tmp_path):

@@ -133,6 +133,15 @@ class TestAdaptiveGraph:
         with pytest.raises(InputError):
             adaptive_graph(square_corners(), 3, 2)
 
+    def test_neighbor_lists_computed_once(self, monkeypatch):
+        import curvprof.graphs as graphs_mod
+
+        calls = []
+        real_pdist = graphs_mod.pdist
+        monkeypatch.setattr(graphs_mod, "pdist", lambda *a, **kw: calls.append(1) or real_pdist(*a, **kw))
+        adaptive_graph(PointCloud(coords=np.random.default_rng(5).random((80, 2))), 3, 6)
+        assert len(calls) == 1
+
 
 class TestKdTreeBackend:
     def test_knn_matches_dense_backend(self, monkeypatch):

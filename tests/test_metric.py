@@ -38,7 +38,7 @@ class TestShortestPaths:
 
     def test_zero_vertices_rejected(self):
         with pytest.raises(InputError):
-            shortest_path_matrix(Graph(n=0, edges=()))
+            shortest_path_matrix(Graph(n=0, i=(), j=(), w=()))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):
