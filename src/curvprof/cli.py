@@ -115,15 +115,10 @@ def _build_graph(data, args):
 
 
 def _metric_from_input(kind, data, args):
-    """Route any input to the DistanceMatrix the profile runs on."""
-    if kind == "graph":
-        return shortest_path_matrix(data)
-    if kind == "dist":
-        wants_graph = any(v is not None for v in (args.k, args.kmin, args.kmax, args.eps))
-        if wants_graph:
-            return shortest_path_matrix(_build_graph(data, args))
+    """Route any input to the DistanceMatrix that profile and rho run on."""
+    if kind == "dist" and all(v is None for v in (args.k, args.kmin, args.kmax, args.eps)):
         return data
-    return shortest_path_matrix(_build_graph(data, args))
+    return shortest_path_matrix(data if kind == "graph" else _build_graph(data, args))
 
 
 def _resolved_config(args, command):
@@ -232,11 +227,7 @@ def _write_gnuplot_script(path, summary_csv):
 
 
 def cmd_rho(args):
-    kind, data = load_input(args.input, _format_from_args(args))
-    if kind == "points":
-        data = _build_graph(data, args)
-        kind = "graph"
-    D = shortest_path_matrix(data) if kind == "graph" else data
+    D = _metric_from_input(*load_input(args.input, _format_from_args(args)), args)
     v1, v2, v3 = args.vertices
     for v in (v1, v2, v3):
         if not (0 <= v < D.n):
@@ -545,7 +536,7 @@ def main(argv=None):
         # the parser's defaults read CURVPROF_SEED / CURVPROF_WORKERS
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EmptyResultError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .metric import DistanceMatrix, Graph, InputError, _read_csv
 
@@ -101,10 +101,18 @@ def _neighbor_lists(data, kmax):
         raise InputError(f"k={kmax} must be smaller than the number of points n={n}")
     tree = _kdtree(data)
     if tree is None:
-        d = np.array(_pairwise(data))
-        np.fill_diagonal(d, np.inf)
-        idx = np.argsort(d, axis=1, kind="stable")[:, :kmax]
-        return idx, np.take_along_axis(d, idx, axis=1)
+        # dense rows a block at a time: the point itself sorts last as +inf
+        full = None if isinstance(data, PointCloud) else _pairwise(data)
+        idx = np.empty((n, kmax), dtype=np.int64)
+        dist = np.empty((n, kmax))
+        step = max(1, (1 << 18) // n)  # about 2 MB of float64 per block
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            d = cdist(data.coords[lo:hi], data.coords) if full is None else np.array(full[lo:hi])
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            idx[lo:hi] = np.argsort(d, axis=1, kind="stable")[:, :kmax]
+            dist[lo:hi] = np.take_along_axis(d, idx[lo:hi], axis=1)
+        return idx, dist
     # kd-tree: the point itself sorts last as +inf (it may be missing when
     # duplicates crowd it out), then an index-aware re-sort of the candidates
     dist, idx = tree.query(data.coords, k=kmax + 1)

@@ -1,9 +1,9 @@
 """Distance matrices, Gromov products, and the triangle-shape measure.
 
-Everything downstream works on a :class:`DistanceMatrix`: a dense symmetric
-matrix of nonnegative reals in which pairs living in different connected
-components carry a large finite sentinel (100x the largest true distance)
-instead of infinity.
+Everything downstream works on a :class:`DistanceMatrix`: a dense matrix of
+nonnegative reals, symmetric up to an ulp, in which pairs living in
+different connected components carry a large finite sentinel (100x the
+largest true distance) instead of infinity.
 """
 
 from __future__ import annotations
@@ -98,7 +98,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix with a disconnection sentinel.
+    """Nonnegative distance matrix with a disconnection sentinel.
+
+    Weighted shortest paths are symmetric only to an ulp (each row is its
+    own Dijkstra run); the triple search reads rows of its side mask, so
+    every pick still closes a triangle.
 
     ``sentinel`` is None for connected inputs; otherwise it equals
     ``SENTINEL_FACTOR`` times the largest finite distance and is strictly

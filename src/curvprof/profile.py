@@ -69,8 +69,11 @@ class RhoValue:
 class ProfileRecord:
     r: float
     rho_values: tuple
-    count: int
     mean_rho: float
+
+    @property
+    def count(self):
+        return len(self.rho_values)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,10 @@ def find_equilateral_triples(D, side, m=1.0, seed=0, side_window=None, allowed=N
 
     Every vertex contained in at least one equilateral triple of this side
     is a candidate; ceil(m * N) candidates are drawn uniformly (all of them
-    if fewer), and for each sampled vertex the pair scan runs in
-    lexicographic vertex order and stops at the first triple found.
-    Duplicated vertex sets are merged, so the result has at most the sample
-    size many triples, returned sorted.
+    if fewer). A sampled vertex takes its first side partner that lies on a
+    triangle with it, then the first common partner of the two: the first
+    triple of a lexicographic pair scan. Duplicated vertex sets are merged,
+    so the result has at most the sample size many triples, returned sorted.
 
     ``side_window`` is a half-open interval (lo, hi) for bin-quantized
     weighted metrics; without it the side must match exactly (relative
@@ -170,37 +173,33 @@ def find_equilateral_triples(D, side, m=1.0, seed=0, side_window=None, allowed=N
         keep[allowed] = True
         A &= keep[:, None] & keep[None, :]
     # a vertex can only close a triangle if it has >= 2 same-side partners
-    deg = A.sum(axis=1)
-    active = np.flatnonzero(deg >= 2)
+    active = np.flatnonzero(A.sum(axis=1) >= 2)
     if active.size < 3:
         return []
-    Asub = A[np.ix_(active, active)]
-    Af = Asub.astype(np.float32)
-    common = Af @ Af
-    tri_weight = (common * Asub).sum(axis=1)
-    candidates = active[tri_weight > 0]
-    if candidates.size == 0:
+    As = A[np.ix_(active, active)]
+    Af = As.astype(np.float32)
+    # E[s, j]: j is a side partner of s and the two share a side partner k,
+    # so s, j, k close a triangle. Rows with an entry are the candidates;
+    # a row's first entry and its first common partner are the pick. Af.T
+    # compares rows, as the pick does: a weighted side mask can be
+    # asymmetric by an ulp, and only the row form makes every pick close.
+    # The transpose is copied so that numpy calls gemm, not syrk: OpenBLAS
+    # syrk spun its threads on small matrices (2-vCPU VM: +40 % CPU).
+    E = (Af @ np.ascontiguousarray(Af.T) > 0) & As
+    rows = np.flatnonzero(E.any(axis=1))
+    if rows.size == 0:
         return []
 
     n_sample = math.ceil(m * D.n)
-    if candidates.size <= n_sample:
-        sampled = candidates
-    else:
+    if rows.size > n_sample:
         rng = np.random.default_rng(seed)
-        sampled = rng.choice(candidates, size=n_sample, replace=False)
-
-    seen = set()
-    for s in sampled:
-        ns = np.flatnonzero(A[s])
-        for pos, j in enumerate(ns):
-            closing = ns[pos + 1 :]
-            hits = closing[A[j, closing]]
-            if hits.size:
-                seen.add(tuple(sorted((int(s), int(j), int(hits[0])))))
-                break
+        rows = rng.choice(rows, size=n_sample, replace=False)
+    j = E[rows].argmax(axis=1)
+    k = (As[rows] & As[j]).argmax(axis=1)
+    picks = np.sort(active[np.column_stack((rows, j, k))], axis=1)
 
     triples = []
-    for a, b, c in sorted(seen):
+    for a, b, c in sorted(set(map(tuple, picks.tolist()))):
         actual = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
         triples.append(EquilateralTriple(v1=a, v2=b, v3=c, side=actual, r=actual / 2.0))
     return triples
@@ -280,23 +279,19 @@ def rho_general(D, v1, v2, v3) -> RhoValue:
     return RhoValue(rho=float(scores[w]), witness=w)
 
 
-def _integer_scales(D):
-    off = ~np.eye(D.n, dtype=bool)
-    vals = D.d[off & D.finite_mask()]
-    sides = np.unique(np.round(vals[vals > 0]).astype(np.int64))
-    return [(int(s), float(s), None) for s in sides]
+def _scales(D, h):
+    """(key, side label, side window) of every occurring side length.
 
-
-def _binned_scales(D, h):
-    off = ~np.eye(D.n, dtype=bool)
-    vals = D.d[off & D.finite_mask()]
-    vals = vals[vals > 0]
-    if vals.size == 0:
-        return []
-    bins = np.unique(np.floor(vals / h).astype(np.int64))
-    # sides below one bin width cannot be certified equal at resolution h
-    bins = bins[bins >= 1]
-    return [(int(k), float((k + 0.5) * h), (float(k * h), float((k + 1) * h))) for k in bins]
+    Exact metrics (``h`` None) key each integer side and match it exactly;
+    otherwise sides are binned into half-open windows of width ``h``.
+    """
+    vals = D.d[(D.d > 0) & D.finite_mask()]
+    keys = np.unique((np.round(vals) if h is None else np.floor(vals / h)).astype(np.int64))
+    # sides below one unit or one bin width cannot be certified equal
+    keys = keys[keys >= 1]
+    if h is None:
+        return [(int(k), float(k), None) for k in keys]
+    return [(int(k), float((k + 0.5) * h), (float(k * h), float((k + 1) * h))) for k in keys]
 
 
 def build_profile(
@@ -333,16 +328,12 @@ def build_profile(
     if cluster_sample is not None:
         allowed = cluster_sample_subset(D, cluster_sample[0], cluster_sample[1], seed=seed)
 
-    if D.integer_valued:
-        scales = _integer_scales(D)
-        used_h = None
-        rule = "integer"
-    else:
+    used_h = None
+    if not D.integer_valued:
         used_h = float(h) if h is not None else D.diameter / DEFAULT_SIDE_BINS
         if used_h <= 0:
             raise InputError("side bin width must be positive")
-        scales = _binned_scales(D, used_h)
-        rule = "binned"
+    scales = _scales(D, used_h)
 
     def job(scale):
         key, label, window = scale
@@ -363,16 +354,14 @@ def build_profile(
         if not rhos:
             continue
         stat = float(np.mean(rhos)) if typical == "mean" else float(np.median(rhos))
-        records.append(
-            ProfileRecord(r=label / 2.0, rho_values=rhos, count=len(rhos), mean_rho=stat)
-        )
+        records.append(ProfileRecord(r=label / 2.0, rho_values=rhos, mean_rho=stat))
 
     meta = {
         "n": D.n,
         "m": m,
         "seed": seed,
         "side_bin": used_h,
-        "scale_rule": rule,
+        "scale_rule": "integer" if used_h is None else "binned",
         "diameter": D.diameter,
         "typical": typical,
         "cluster_sample": list(cluster_sample) if cluster_sample else None,
@@ -417,14 +406,17 @@ def profile_from_dict(data) -> CurvatureProfile:
             ProfileRecord(
                 r=float(rec["r"]),
                 rho_values=tuple(float(x) for x in rec["rho_values"]),
-                count=int(rec["count"]),
                 mean_rho=float(rec["mean_rho"]),
             )
             for rec in data["records"]
         )
+        counts = [int(rec["count"]) for rec in data["records"]]
         meta = dict(data["meta"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed profile payload: {exc}") from exc
+    for count, rec in zip(counts, records):
+        if count != rec.count:
+            raise InputError(f"record r={rec.r!r}: count {count} != {rec.count} rho values")
     return CurvatureProfile(records=records, meta=meta)
 
 

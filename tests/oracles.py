@@ -181,3 +181,58 @@ def neighbor_selection_loop(idx, dist, k_per_point):
             key = (i, j) if i < j else (j, i)
             edges.setdefault(key, float(dist[i, rank]))
     return tuple((i, j, w) for (i, j), w in sorted(edges.items()))
+
+
+def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=None):
+    """Candidate count by matmul, then a per-vertex lexicographic pair scan.
+
+    The reference find_equilateral_triples must match on every symmetric
+    side mask: same candidates, same sample, same first (j, k) per vertex.
+    """
+    from curvprof import InputError
+    from curvprof.profile import EquilateralTriple, _side_mask
+
+    if side <= 0:
+        raise InputError("side must be positive")
+    if not (0 < m <= 1):
+        raise InputError("sample fraction m must lie in (0, 1]")
+    A = _side_mask(D, side, side_window)
+    if allowed is not None:
+        keep = np.zeros(D.n, dtype=bool)
+        keep[allowed] = True
+        A &= keep[:, None] & keep[None, :]
+    # a vertex can only close a triangle if it has >= 2 same-side partners
+    deg = A.sum(axis=1)
+    active = np.flatnonzero(deg >= 2)
+    if active.size < 3:
+        return []
+    Asub = A[np.ix_(active, active)]
+    Af = Asub.astype(np.float32)
+    common = Af @ Af
+    tri_weight = (common * Asub).sum(axis=1)
+    candidates = active[tri_weight > 0]
+    if candidates.size == 0:
+        return []
+
+    n_sample = math.ceil(m * D.n)
+    if candidates.size <= n_sample:
+        sampled = candidates
+    else:
+        rng = np.random.default_rng(seed)
+        sampled = rng.choice(candidates, size=n_sample, replace=False)
+
+    seen = set()
+    for s in sampled:
+        ns = np.flatnonzero(A[s])
+        for pos, j in enumerate(ns):
+            closing = ns[pos + 1 :]
+            hits = closing[A[j, closing]]
+            if hits.size:
+                seen.add(tuple(sorted((int(s), int(j), int(hits[0])))))
+                break
+
+    triples = []
+    for a, b, c in sorted(seen):
+        actual = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
+        triples.append(EquilateralTriple(v1=a, v2=b, v3=c, side=actual, r=actual / 2.0))
+    return triples

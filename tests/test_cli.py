@@ -140,6 +140,16 @@ class TestRhoCommand:
         inp.write_text("0 1\n2 3\n")
         assert cli.main(["rho", str(inp), "0", "1", "2"]) == 2
 
+    def test_distance_matrix_honours_graph_rule(self, tmp_path, capsys):
+        # a 5-point line metric: at eps 0.5 the epsilon graph has no edges
+        inp = tmp_path / "line.csv"
+        x = np.arange(5.0)
+        np.savetxt(inp, np.abs(x[:, None] - x[None, :]), delimiter=",")
+        assert cli.main(["rho", str(inp), "0", "2", "4"]) == 0
+        assert "d(0,2) = 2" in capsys.readouterr().out
+        assert cli.main(["rho", str(inp), "0", "2", "4", "--eps", "0.5"]) == 2
+        assert "disconnected components" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     @pytest.mark.parametrize(
@@ -205,6 +215,17 @@ class TestCompareCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert cli.main(["compare", str(bad), str(bad)]) == 2
+
+    def test_stored_count_must_match_rho_values(self, tmp_path, capsys):
+        inp = tmp_path / "c6.edges"
+        write_cycle(inp)
+        cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "p")])
+        path = tmp_path / "p.profile.json"
+        payload = json.loads(path.read_text())
+        payload["records"][0]["count"] += 1
+        path.write_text(json.dumps(payload))
+        assert cli.main(["compare", str(path), str(path)]) == 2
+        assert "rho values" in capsys.readouterr().err
 
 
 class TestEmbedCommand:
@@ -317,6 +338,28 @@ class TestUnreadableInput:
         directory.mkdir()
         assert cli.main([a.format(directory) for a in argv]) == 2
         assert "not a regular file" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "{profile}", "{profile}", "--out", "{out}"],
+            ["generate", "--kind", "er", "--n", "20", "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_as_out_exits_2(self, tmp_path, capsys, argv):
+        inp = tmp_path / "c6.edges"
+        write_cycle(inp)
+        cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "p")])
+        capsys.readouterr()
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        args = [a.format(profile=tmp_path / "p.profile.json", out=outdir) for a in argv]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err
 
 
 class TestComputedOnce:

@@ -136,11 +136,26 @@ class TestAdaptiveGraph:
     def test_neighbor_lists_computed_once(self, monkeypatch):
         import curvprof.graphs as graphs_mod
 
-        calls = []
-        real_pdist = graphs_mod.pdist
-        monkeypatch.setattr(graphs_mod, "pdist", lambda *a, **kw: calls.append(1) or real_pdist(*a, **kw))
+        rows = []
+        real_cdist = graphs_mod.cdist
+        monkeypatch.setattr(graphs_mod, "cdist", lambda a, b: rows.append(len(a)) or real_cdist(a, b))
+        monkeypatch.setattr(graphs_mod, "pdist", None)
         adaptive_graph(PointCloud(coords=np.random.default_rng(5).random((80, 2))), 3, 6)
-        assert len(calls) == 1
+        assert sum(rows) == 80  # every distance row once, no full matrix
+
+    def test_dense_neighbor_lists_stay_below_half_the_matrix(self):
+        import tracemalloc
+
+        from curvprof.generate import plane_sample
+
+        cloud = plane_sample(2000, seed=0)
+        tracemalloc.start()
+        try:
+            adaptive_graph(cloud, 15, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cloud.n**2 / 2
 
 
 class TestKdTreeBackend:

@@ -248,6 +248,14 @@ class TestBuildProfile:
         p = build_profile(D, m=1.0, seed=0)
         assert p.is_empty
 
+    def test_integer_metric_skips_sides_that_round_to_zero(self):
+        # a 1e-12 edge keeps the metric integer-valued but its side rounds to 0
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1e-12)]
+        D = shortest_path_matrix(Graph.from_edges(4, edges))
+        assert D.integer_valued
+        p = build_profile(D, m=1.0, seed=0)
+        assert [rec.r for rec in p.records] == [0.5]
+
     def test_cluster_sample_restricts_triple_membership(self):
         from curvprof import cluster_sample_subset
 

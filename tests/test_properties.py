@@ -1,4 +1,6 @@
-"""Property tests: the array-native graph builders against loop references."""
+"""Property tests: array-native graph builders and the triple search against loop references."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from curvprof import Graph
+from curvprof import Graph, shortest_path_matrix
 from curvprof.graphs import _graph_from_neighbor_selection
+from curvprof.profile import DEFAULT_SIDE_BINS, _scales, _side_mask, find_equilateral_triples
 
 # small id ranges make reversed pairs, repeats, self-loops and
 # out-of-range ids common
@@ -61,3 +64,61 @@ def test_neighbor_selection_matches_loop_reference(sel):
         [e[1] for e in expected],
         [e[2] for e in expected],
     )
+
+
+@st.composite
+def small_metrics(draw):
+    """Shortest-path metric of a random graph on <= 14 vertices.
+
+    Unweighted, integer- or float-weighted (half-integers and near-unit
+    floats put many triangles in one side bin); cutting every edge across a
+    random split point makes some of them disconnected.
+    """
+    n = draw(st.integers(3, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    cut = draw(st.integers(0, n))
+    kept = [(a, b) for (a, b), on in zip(pairs, present) if on and (b < cut or a >= cut)]
+    weights = draw(
+        st.sampled_from(
+            [
+                st.just(1.0),
+                st.integers(1, 4).map(float),
+                st.sampled_from([0.5, 1.5, 2.5]),
+                st.floats(0.9, 1.1),
+                st.floats(0.0, 4.0, allow_nan=False),
+            ]
+        )
+    )
+    edges = [(a, b, draw(weights)) for a, b in kept]
+    return shortest_path_matrix(Graph.from_edges(n, edges))
+
+
+def _closes(A, triple):
+    return any(A[p, q] and A[p, r] and A[q, r] for p, q, r in itertools.permutations(triple))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    D=small_metrics(),
+    m=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    allowed=st.one_of(st.none(), st.lists(st.integers(0, 13), unique=True)),
+)
+def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
+    if allowed is not None:
+        allowed = np.array(sorted(v for v in allowed if v < D.n), dtype=np.int64)
+    h = None if D.integer_valued else D.diameter / DEFAULT_SIDE_BINS
+    for key, label, window in _scales(D, h):
+        args = (D, label, m, [seed, key], window, allowed)
+        got = find_equilateral_triples(*args)
+        A = _side_mask(D, label, window)
+        if allowed is not None:
+            keep = np.zeros(D.n, dtype=bool)
+            keep[allowed] = True
+            A &= keep[:, None] & keep[None, :]
+        if np.array_equal(A, A.T):
+            assert got == oracles.equilateral_triples_scan(*args)
+        else:
+            # an ulp-asymmetric weighted mask: the row-built pick still closes
+            assert all(_closes(A, (t.v1, t.v2, t.v3)) for t in got)

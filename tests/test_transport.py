@@ -23,7 +23,7 @@ from curvprof.profile import ProfileRecord
 def make_profile(records, meta=None):
     return CurvatureProfile(
         records=tuple(
-            ProfileRecord(r=r, rho_values=tuple(v), count=len(v), mean_rho=float(np.mean(v)))
+            ProfileRecord(r=r, rho_values=tuple(v), mean_rho=float(np.mean(v)))
             for r, v in records
         ),
         meta=meta or {},
