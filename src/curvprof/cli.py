@@ -145,11 +145,11 @@ def _parse_dims(spec):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            dims.update(range(int(lo), int(hi) + 1))
-        else:
-            dims.add(int(chunk))
+        lo, sep, hi = chunk.partition("-")
+        try:
+            dims.update(range(int(lo), int(hi if sep else lo) + 1))
+        except ValueError as exc:
+            raise InputError(f"--dims must look like '1-8' or '2,3,5', got {spec!r}") from exc
     if not dims:
         raise InputError(f"no dimensions parsed from {spec!r}")
     if min(dims) < 1:

@@ -136,16 +136,16 @@ class DistanceMatrix:
         return not np.any(sub == self.sentinel)
 
     def scaled(self, c):
-        """Return a copy with every distance multiplied by c > 0."""
+        """Return a copy with every distance multiplied by c > 0.
+
+        The sentinel and flags are derived afresh from the scaled distances.
+        """
         if c <= 0:
             raise InputError("scale factor must be positive")
         d = self.d * c
-        return DistanceMatrix(
-            d=d,
-            sentinel=None if self.sentinel is None else self.sentinel * c,
-            diameter=self.diameter * c,
-            integer_valued=bool(_all_integral(d[np.isfinite(d)])),
-        )
+        if self.sentinel is not None:
+            d[self.d == self.sentinel] = np.inf
+        return _finalize_distance_matrix(d)
 
 
 @dataclass(frozen=True)
@@ -174,31 +174,27 @@ class TripleShape:
     is_equilateral: bool
 
 
-def _all_integral(values):
-    return np.allclose(values, np.round(values), rtol=0, atol=1e-9)
-
-
 def _finalize_distance_matrix(d):
-    """Replace inf by the sentinel and derive diameter / integrality flags."""
-    n = d.shape[0]
+    """Derive diameter / integrality flags and replace inf by the sentinel.
+
+    Works in place on ``d``, a fresh C-contiguous float64 array with a
+    zero diagonal that the caller hands over; the diagonal changes neither
+    the maximum nor the integrality test.
+    """
     finite = np.isfinite(d)
-    offdiag = ~np.eye(n, dtype=bool)
-    finite_off = d[finite & offdiag]
-    diameter = float(finite_off.max()) if finite_off.size else 0.0
-    if finite.all():
-        sentinel = None
-    else:
+    diameter = float(np.max(d, where=finite, initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is masked out
+        err = np.rint(d)
+        np.subtract(d, err, out=err)
+        np.abs(err, out=err)
+    integer_valued = bool(np.max(err, where=finite, initial=0.0) <= 1e-9)
+    sentinel = None
+    if not finite.all():
         # degenerate edgeless graphs have diameter 0; keep the sentinel
         # strictly above every true distance anyway
         sentinel = SENTINEL_FACTOR * (diameter if diameter > 0 else 1.0)
-        d = np.where(finite, d, sentinel)
-    integer_valued = bool(finite_off.size == 0 or _all_integral(finite_off))
-    return DistanceMatrix(
-        d=np.ascontiguousarray(d, dtype=np.float64),
-        sentinel=sentinel,
-        diameter=diameter,
-        integer_valued=integer_valued,
-    )
+        np.copyto(d, sentinel, where=np.logical_not(finite, out=finite))
+    return DistanceMatrix(d=d, sentinel=sentinel, diameter=diameter, integer_valued=integer_valued)
 
 
 def _adjacency(graph: Graph):
@@ -209,8 +205,9 @@ def _adjacency(graph: Graph):
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     """All-pairs shortest-path distances of a weighted undirected graph.
 
-    Unweighted graphs take the BFS specialization; weighted ones run
-    Dijkstra. Disconnected pairs receive the finite sentinel
+    scipy has no all-pairs BFS: ``method="auto"`` runs Dijkstra (Floyd-Warshall
+    once the edges number N²/4), on unit weights when the graph is unweighted.
+    Disconnected pairs receive the finite sentinel
     ``SENTINEL_FACTOR * max finite distance``.
     """
     if graph.n < 1:
@@ -222,10 +219,7 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
         return _finalize_distance_matrix(d)
-    unweighted = graph.is_unweighted
-    d = shortest_path(_adjacency(graph), method="auto", directed=False, unweighted=unweighted)
-    if unweighted:
-        d = d.astype(np.float64)
+    d = shortest_path(_adjacency(graph), method="auto", directed=False, unweighted=graph.is_unweighted)
     return _finalize_distance_matrix(d)
 
 

@@ -324,6 +324,8 @@ def build_profile(
         raise InputError("sample fraction m must lie in (0, 1]")
     if workers < 1:
         raise InputError("workers must be >= 1")
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise InputError(f"side bin width must be finite and positive, got {h}")
     allowed = None
     if cluster_sample is not None:
         allowed = cluster_sample_subset(D, cluster_sample[0], cluster_sample[1], seed=seed)
@@ -331,8 +333,6 @@ def build_profile(
     used_h = None
     if not D.integer_valued:
         used_h = float(h) if h is not None else D.diameter / DEFAULT_SIDE_BINS
-        if used_h <= 0:
-            raise InputError("side bin width must be positive")
     scales = _scales(D, used_h)
 
     def job(scale):

@@ -33,6 +33,10 @@ class GridSpec:
     r_range: tuple = (0.0, 1.0)
     rho_range: tuple = (1.0, 2.0)
 
+    def __post_init__(self):
+        if self.nr < 1 or self.nrho < 1:
+            raise InputError(f"grid needs at least one node per axis, got {self.nr}x{self.nrho}")
+
     def nodes(self):
         r_axis = np.linspace(self.r_range[0], self.r_range[1], self.nr)
         rho_axis = np.linspace(self.rho_range[0], self.rho_range[1], self.nrho)

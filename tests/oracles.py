@@ -236,3 +236,36 @@ def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=N
         actual = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
         triples.append(EquilateralTriple(v1=a, v2=b, v3=c, side=actual, r=actual / 2.0))
     return triples
+
+
+def _all_integral(values):
+    return np.allclose(values, np.round(values), rtol=0, atol=1e-9)
+
+
+def finalize_distance_matrix_copying(d):
+    """Masked-copy finalisation: off-diagonal finite copy, np.allclose, np.where.
+
+    The in-place _finalize_distance_matrix must give the same bytes, sentinel,
+    diameter and integrality flag.
+    """
+    from curvprof.metric import SENTINEL_FACTOR, DistanceMatrix
+
+    n = d.shape[0]
+    finite = np.isfinite(d)
+    offdiag = ~np.eye(n, dtype=bool)
+    finite_off = d[finite & offdiag]
+    diameter = float(finite_off.max()) if finite_off.size else 0.0
+    if finite.all():
+        sentinel = None
+    else:
+        # degenerate edgeless graphs have diameter 0; keep the sentinel
+        # strictly above every true distance anyway
+        sentinel = SENTINEL_FACTOR * (diameter if diameter > 0 else 1.0)
+        d = np.where(finite, d, sentinel)
+    integer_valued = bool(finite_off.size == 0 or _all_integral(finite_off))
+    return DistanceMatrix(
+        d=np.ascontiguousarray(d, dtype=np.float64),
+        sentinel=sentinel,
+        diameter=diameter,
+        integer_valued=integer_valued,
+    )

@@ -397,3 +397,41 @@ class TestParsing:
     def test_grid_parser(self):
         g = cli._parse_grid("25x40")
         assert g.nr == 25 and g.nrho == 40
+
+
+class TestMalformedOptions:
+    @pytest.mark.parametrize("spec", ["a", "1-", "2,x", "1.5"])
+    @pytest.mark.parametrize("command", ["embed", "estimate-dim"])
+    def test_bad_dims_exit_2(self, tmp_path, capsys, command, spec):
+        inp = tmp_path / "pts.csv"
+        np.savetxt(inp, plane_sample(30, seed=2).coords, delimiter=",")
+        assert cli.main([command, str(inp), "--dims", spec, "--out", str(tmp_path / "e")]) == 2
+        assert repr(spec) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0x5", "5x0"])
+    def test_zero_sized_grid_exits_2(self, tmp_path, capsys, grid):
+        inp = tmp_path / "c6.edges"
+        write_cycle(inp)
+        cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "p")])
+        profile = str(tmp_path / "p.profile.json")
+        capsys.readouterr()
+        assert cli.main(["compare", profile, profile, "--grid", grid]) == 2
+        assert "at least one node" in capsys.readouterr().err
+        rc = cli.main(["estimate-dim", str(inp), "--method", "mds", "--dims", "2", "-m", "1.0",
+                       "--embed-k", "3", "--grid", grid, "--out", str(tmp_path / "e")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("side_bin", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bad_side_bin_exits_2(self, tmp_path, capsys, side_bin, weighted):
+        if weighted:
+            inp = tmp_path / "pts.csv"
+            np.savetxt(inp, plane_sample(40, seed=0).coords, delimiter=",")
+            argv = ["profile", str(inp), "--k", "5"]
+        else:
+            inp = tmp_path / "c6.edges"
+            write_cycle(inp)
+            argv = ["profile", str(inp), "-m", "1.0"]
+        assert cli.main(argv + ["--side-bin", side_bin, "--out", str(tmp_path / "p")]) == 2
+        assert "side bin width" in capsys.readouterr().err
+        assert not (tmp_path / "p.profile.json").exists()

@@ -178,6 +178,29 @@ class TestDistanceMatrixValidation:
         assert np.allclose(S.d, 7.3 * D.d)
         assert S.diameter == pytest.approx(7.3 * D.diameter)
 
+    def test_scaled_disconnected_copy_keeps_sentinel_rule(self):
+        D = shortest_path_matrix(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        S = D.scaled(0.3)
+        assert S.diameter == 0.3
+        assert S.sentinel == 100 * S.diameter
+        assert np.array_equal(S.d == S.sentinel, D.d == D.sentinel)
+        assert not S.integer_valued
+
+    def test_finalisation_needs_no_full_size_side_copies(self):
+        import tracemalloc
+
+        from curvprof.generate import erdos_renyi
+
+        g = erdos_renyi(800, 4.0, seed=0)
+        tracemalloc.start()
+        try:
+            D = shortest_path_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix, its finite mask and one float scratch array
+        assert peak < 3 * D.d.nbytes
+
 
 class TestLoaders:
     def test_edge_list_roundtrip(self, tmp_path):

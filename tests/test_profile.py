@@ -297,6 +297,15 @@ class TestBuildProfile:
             assert rec.r == pytest.approx((k + 0.5) * h / 2)
             assert k >= 1
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_side_bin_must_be_finite_and_positive(self, h, weighted):
+        w = 1.5 if weighted else 1.0
+        D = shortest_path_matrix(Graph.from_edges(3, [(0, 1, w), (1, 2, 2 * w), (0, 2, 2 * w)]))
+        assert D.integer_valued is not weighted
+        with pytest.raises(InputError, match="side bin width"):
+            build_profile(D, m=1.0, seed=0, h=h)
+
 
 class TestClosedFormAndSerialization:
     def test_circle_closed_form(self):

@@ -1,15 +1,16 @@
-"""Property tests: array-native graph builders and the triple search against loop references."""
+"""Property tests: graph builders, matrix finalisation and the triple search against loop references."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from curvprof import Graph, shortest_path_matrix
 from curvprof.graphs import _graph_from_neighbor_selection
+from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import DEFAULT_SIDE_BINS, _scales, _side_mask, find_equilateral_triples
 
 # small id ranges make reversed pairs, repeats, self-loops and
@@ -122,3 +123,53 @@ def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
         else:
             # an ulp-asymmetric weighted mask: the row-built pick still closes
             assert all(_closes(A, (t.v1, t.v2, t.v3)) for t in got)
+
+
+near_integer = st.builds(
+    lambda k, delta: k + delta,
+    st.one_of(st.integers(0, 6), st.integers(0, 10**6)).map(float),
+    st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]),
+).filter(lambda x: x >= 0)
+entry_kinds = st.sampled_from(
+    [
+        st.integers(0, 6).map(float),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+        near_integer,
+        st.one_of(st.integers(0, 6).map(float), near_integer),
+    ]
+)
+
+
+@st.composite
+def unfinalized_matrices(draw):
+    """Square zero-diagonal matrices as they reach finalisation, inf for disconnected pairs."""
+    n = draw(st.integers(1, 8))
+    entries = draw(entry_kinds)
+    iu = np.triu_indices(n, k=1)
+    values = np.array(draw(st.lists(entries, min_size=len(iu[0]), max_size=len(iu[0]))), dtype=np.float64)
+    gaps = draw(st.sampled_from(["none", "some", "all"]))
+    if gaps == "some":
+        cut = np.array(draw(st.lists(st.booleans(), min_size=len(iu[0]), max_size=len(iu[0]))), dtype=bool)
+        values[cut] = np.inf
+    elif gaps == "all":
+        values[:] = np.inf
+    d = np.zeros((n, n))
+    d[iu] = values
+    return d + d.T
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=unfinalized_matrices())
+# 1e-9 is exactly on the integrality tolerance, 2e-9 just off it
+@example(d=np.array([[0.0, 1e-9, 3.0], [1e-9, 0.0, np.inf], [3.0, np.inf, 0.0]]))
+@example(d=np.array([[0.0, 2e-9], [2e-9, 0.0]]))
+def test_finalize_matches_copying_reference(d):
+    expected = oracles.finalize_distance_matrix_copying(d.copy())
+    got = _finalize_distance_matrix(d.copy())
+    assert got.d.tobytes() == expected.d.tobytes()
+    assert got.d.flags.c_contiguous
+    assert (got.sentinel, got.diameter, got.integer_valued) == (
+        expected.sentinel,
+        expected.diameter,
+        expected.integer_valued,
+    )

@@ -107,6 +107,11 @@ class TestWasserstein:
         with pytest.raises(InputError):
             wasserstein1(P, Q)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (-1, 50)])
+    def test_grid_without_nodes_rejected(self, shape):
+        with pytest.raises(InputError, match="at least one node"):
+            GridSpec(nr=shape[0], nrho=shape[1])
+
     def test_against_dense_lp_and_network_simplex_oracles(self):
         grid = GridSpec()
         rng = np.random.default_rng(2)
