@@ -259,13 +259,14 @@ def cmd_embed(args):
     dims = _parse_dims(args.dims)
     cfg = _resolved_config(args, "embed")
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
-    report = {"config": cfg, "dimensions": {}}
     if args.method == "mds":
         full = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
     elif kind != "graph" and args.k is None:
         raise InputError("isomap on a point cloud or metric needs --k")
     else:
         full = embed_mod.isomap(data, k=args.k or 0, d=dims[-1])
+    kept = full.kept_indices
+    report = {"config": cfg, "dimensions": {}, "kept_indices": None if kept is None else kept.tolist()}
     for d in dims:
         res = embed_mod._leading(full, d)
         path = f"{out}.d{d}.csv"
@@ -451,7 +452,7 @@ def _add_profile_opts(p):
     p.add_argument("-m", type=float, default=0.1, help="per-scale sample fraction (default 0.1)")
     p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
     p.add_argument("--side-bin", type=float, default=None,
-                   help="side bin width for weighted metrics (default diameter/50)")
+                   help="side bin width; weighted metrics only (default diameter/50)")
     p.add_argument("--median", action="store_true", help="report per-scale median instead of mean")
     p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", os.cpu_count() or 1))
 

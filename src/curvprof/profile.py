@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (
-    EXACT_SIDE_RTOL,
-    DistanceMatrix,
-    InputError,
-    _read_text,
-    gromov_products,
-)
+from .metric import DistanceMatrix, InputError, _read_text, gromov_products
 
 # reference levels shown as horizontal guide lines on profile plots
 RHO_TREE = 1.0
@@ -105,19 +99,27 @@ def _check_rho_range(rho):
     return rho
 
 
-def _side_mask(D, side, side_window):
-    """Boolean adjacency of vertex pairs whose distance matches the scale."""
+def _side_keys(D, h):
+    """Scale key of every vertex pair: k >= 1, or 0 for no scale.
+
+    Exact metrics (``h`` None) key a pair by its rounded side; binned ones
+    by the half-open window ``[k*h, (k+1)*h)`` that holds it. The diagonal,
+    sides below one unit or one bin (they cannot be certified equal) and
+    sentinel pairs get 0. Stored in the smallest unsigned dtype that holds
+    the largest key.
+    """
     d = D.d
-    if side_window is None:
-        tol = EXACT_SIDE_RTOL * max(1.0, side)
-        mask = np.abs(d - side) <= tol
+    if h is None:
+        keys = np.rint(d)
     else:
-        lo, hi = side_window
-        mask = (d >= lo) & (d < hi)
+        keys = np.floor(d / h)
+        # d / h can round across a window edge: one step back into the window
+        keys -= keys * h > d
+        keys += (keys + 1) * h <= d
+    keys[keys < 1] = 0
     if D.sentinel is not None:
-        mask &= d != D.sentinel
-    np.fill_diagonal(mask, False)
-    return mask
+        keys[d == D.sentinel] = 0
+    return keys.astype(np.min_scalar_type(int(keys.max())))
 
 
 def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
@@ -147,31 +149,23 @@ def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
     return np.array(sorted(subset), dtype=np.int64)
 
 
-def find_equilateral_triples(D, side, m=1.0, seed=0, side_window=None, allowed=None):
+def find_equilateral_triples(D, A, m=1.0, seed=0):
     """Sampled equilateral triples at one scale.
 
-    Every vertex contained in at least one equilateral triple of this side
-    is a candidate; ceil(m * N) candidates are drawn uniformly (all of them
-    if fewer). A sampled vertex takes its first side partner that lies on a
-    triangle with it, then the first common partner of the two: the first
-    triple of a lexicographic pair scan. Duplicated vertex sets are merged,
-    so the result has at most the sample size many triples, returned sorted.
-
-    ``side_window`` is a half-open interval (lo, hi) for bin-quantized
-    weighted metrics; without it the side must match exactly (relative
-    tolerance 1e-9, suitable for integer-valued metrics). ``allowed``
-    restricts triple membership to a vertex subset (the expansion itself
-    still scans the full space).
+    ``A`` is the scale's side graph: an n x n boolean matrix whose true
+    entries are the vertex pairs at this side (``_side_keys(D, h) == k``
+    in :func:`build_profile`); its rows are read as given. Every vertex
+    contained in at least one triangle of ``A`` is a candidate; ceil(m * N)
+    candidates are drawn uniformly (all of them if fewer). A sampled vertex
+    takes its first side partner that lies on a triangle with it, then the
+    first common partner of the two: the first triple of a lexicographic
+    pair scan. Duplicated vertex sets are merged, so the result has at most
+    the sample size many triples, returned sorted.
     """
-    if side <= 0:
-        raise InputError("side must be positive")
     if not (0 < m <= 1):
         raise InputError("sample fraction m must lie in (0, 1]")
-    A = _side_mask(D, side, side_window)
-    if allowed is not None:
-        keep = np.zeros(D.n, dtype=bool)
-        keep[allowed] = True
-        A &= keep[:, None] & keep[None, :]
+    if A.shape != D.d.shape:
+        raise InputError(f"side graph must be {D.n} x {D.n}, got {A.shape}")
     # a vertex can only close a triangle if it has >= 2 same-side partners
     active = np.flatnonzero(A.sum(axis=1) >= 2)
     if active.size < 3:
@@ -181,7 +175,7 @@ def find_equilateral_triples(D, side, m=1.0, seed=0, side_window=None, allowed=N
     # E[s, j]: j is a side partner of s and the two share a side partner k,
     # so s, j, k close a triangle. Rows with an entry are the candidates;
     # a row's first entry and its first common partner are the pick. Af.T
-    # compares rows, as the pick does: a weighted side mask can be
+    # compares rows, as the pick does: a weighted side graph can be
     # asymmetric by an ulp, and only the row form makes every pick close.
     # The transpose is copied so that numpy calls gemm, not syrk: OpenBLAS
     # syrk spun its threads on small matrices (2-vCPU VM: +40 % CPU).
@@ -279,21 +273,6 @@ def rho_general(D, v1, v2, v3) -> RhoValue:
     return RhoValue(rho=float(scores[w]), witness=w)
 
 
-def _scales(D, h):
-    """(key, side label, side window) of every occurring side length.
-
-    Exact metrics (``h`` None) key each integer side and match it exactly;
-    otherwise sides are binned into half-open windows of width ``h``.
-    """
-    vals = D.d[(D.d > 0) & D.finite_mask()]
-    keys = np.unique((np.round(vals) if h is None else np.floor(vals / h)).astype(np.int64))
-    # sides below one unit or one bin width cannot be certified equal
-    keys = keys[keys >= 1]
-    if h is None:
-        return [(int(k), float(k), None) for k in keys]
-    return [(int(k), float((k + 0.5) * h), (float(k * h), float((k + 1) * h))) for k in keys]
-
-
 def build_profile(
     D: DistanceMatrix,
     m=0.1,
@@ -306,12 +285,15 @@ def build_profile(
 ) -> CurvatureProfile:
     """Scale-indexed expansion-factor profile of a distance matrix.
 
-    Scales run over every occurring side length: the integers for exact
-    graph metrics, or bins of width ``h`` (default diameter/50) for weighted
-    metrics. Per scale, triples come from :func:`find_equilateral_triples`
-    with a scale-local RNG derived from (seed, scale), so the profile is
-    reproducible and independent of the worker count. Scales with no triples
-    are omitted.
+    Every vertex pair belongs to at most one scale, keyed once by
+    :func:`_side_keys`: the rounded side for exact graph metrics, or the
+    window of width ``h`` (default diameter/50) holding it for weighted
+    metrics; ``h`` is rejected on integer-valued metrics. The scales are
+    the keys that occur. Per scale, triples come from
+    :func:`find_equilateral_triples` on the pairs with that key, with a
+    scale-local RNG derived from (seed, key), so the profile is
+    reproducible and independent of the worker count. Scales with no
+    triples are omitted.
 
     ``typical`` selects the per-scale statistic stored in ``mean_rho``:
     "mean" (default) or "median". ``cluster_sample=(k, n)`` switches on the
@@ -326,25 +308,27 @@ def build_profile(
         raise InputError("workers must be >= 1")
     if h is not None and not (math.isfinite(h) and h > 0):
         raise InputError(f"side bin width must be finite and positive, got {h}")
-    allowed = None
-    if cluster_sample is not None:
-        allowed = cluster_sample_subset(D, cluster_sample[0], cluster_sample[1], seed=seed)
+    if h is not None and D.integer_valued:
+        raise InputError("side bin width applies to weighted metrics only; this metric is integer-valued")
 
     used_h = None
     if not D.integer_valued:
         used_h = float(h) if h is not None else D.diameter / DEFAULT_SIDE_BINS
-    scales = _scales(D, used_h)
+    keys = _side_keys(D, used_h)
+    if cluster_sample is not None:
+        outside = np.ones(D.n, dtype=bool)
+        outside[cluster_sample_subset(D, cluster_sample[0], cluster_sample[1], seed=seed)] = False
+        keys[outside] = 0
+        keys[:, outside] = 0
+    scales = [k for k in np.unique(keys).tolist() if k]
 
-    def job(scale):
-        key, label, window = scale
-        triples = find_equilateral_triples(
-            D, label, m=m, seed=[seed, key], side_window=window, allowed=allowed
-        )
-        rhos = tuple(rho_minmax(D, t).rho for t in triples)
-        return label, rhos
+    def job(key):
+        triples = find_equilateral_triples(D, keys == key, m=m, seed=[seed, key])
+        label = float(key) if used_h is None else (key + 0.5) * used_h
+        return label, tuple(rho_minmax(D, t).rho for t in triples)
 
     if workers == 1 or len(scales) <= 1:
-        results = [job(s) for s in scales]
+        results = [job(k) for k in scales]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, scales))

@@ -183,20 +183,58 @@ def neighbor_selection_loop(idx, dist, k_per_point):
     return tuple((i, j, w) for (i, j), w in sorted(edges.items()))
 
 
+def side_mask(D, side, side_window):
+    """Boolean adjacency of vertex pairs whose distance matches the scale.
+
+    The pair selection each scale used before side keys: an exact match
+    within a relative tolerance, or a half-open window.
+    """
+    from curvprof.metric import EXACT_SIDE_RTOL
+
+    d = D.d
+    if side_window is None:
+        tol = EXACT_SIDE_RTOL * max(1.0, side)
+        mask = np.abs(d - side) <= tol
+    else:
+        lo, hi = side_window
+        mask = (d >= lo) & (d < hi)
+    if D.sentinel is not None:
+        mask &= d != D.sentinel
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def scales(D, h):
+    """(key, side label, side window) of every occurring side length.
+
+    Exact metrics (``h`` None) key each integer side and match it exactly;
+    otherwise sides are binned into half-open windows of width ``h``. Keys
+    come from ``floor(d / h)``, which can disagree with the window test of
+    :func:`side_mask` when ``d / h`` rounds across a window edge.
+    """
+    vals = D.d[(D.d > 0) & D.finite_mask()]
+    keys = np.unique((np.round(vals) if h is None else np.floor(vals / h)).astype(np.int64))
+    # sides below one unit or one bin width cannot be certified equal
+    keys = keys[keys >= 1]
+    if h is None:
+        return [(int(k), float(k), None) for k in keys]
+    return [(int(k), float((k + 0.5) * h), (float(k * h), float((k + 1) * h))) for k in keys]
+
+
 def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=None):
     """Candidate count by matmul, then a per-vertex lexicographic pair scan.
 
-    The reference find_equilateral_triples must match on every symmetric
-    side mask: same candidates, same sample, same first (j, k) per vertex.
+    find_equilateral_triples must match it on every symmetric side mask:
+    same candidates, same sample, same first (j, k) per vertex.
     """
     from curvprof import InputError
-    from curvprof.profile import EquilateralTriple, _side_mask
+    from curvprof.profile import EquilateralTriple
 
     if side <= 0:
         raise InputError("side must be positive")
     if not (0 < m <= 1):
         raise InputError("sample fraction m must lie in (0, 1]")
-    A = _side_mask(D, side, side_window)
+    A = side_mask(D, side, side_window)
     if allowed is not None:
         keep = np.zeros(D.n, dtype=bool)
         keep[allowed] = True

@@ -243,6 +243,27 @@ class TestEmbedCommand:
         np.savetxt(inp, plane_sample(30, seed=2).coords, delimiter=",")
         assert cli.main(["embed", str(inp), "--method", "isomap", "--dims", "2"]) == 2
 
+    @pytest.mark.parametrize("blobs", [(30, 12), (30,)])
+    def test_isomap_report_names_the_kept_rows(self, tmp_path, blobs):
+        rng = np.random.default_rng(4)
+        # far-apart blobs give a disconnected kNN graph; the larger one is kept
+        coords = np.vstack([rng.normal(size=(n, 2)) + 100.0 * b for b, n in enumerate(blobs)])
+        order = rng.permutation(len(coords))
+        inp = tmp_path / "two.csv"
+        np.savetxt(inp, coords[order], delimiter=",")
+        argv = ["embed", str(inp), "--method", "isomap", "--k", "4", "--dims", "2", "--out", str(tmp_path / "two")]
+        if len(blobs) > 1:
+            with pytest.warns(UserWarning, match="largest component"):
+                assert cli.main(argv) == 0
+        else:
+            assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "two.embed.json").read_text())
+        if len(blobs) == 1:
+            assert report["kept_indices"] is None
+            return
+        assert report["kept_indices"] == np.flatnonzero(order < blobs[0]).tolist()
+        assert np.loadtxt(tmp_path / "two.d2.csv", delimiter=",").shape == (blobs[0], 2)
+
 
 class TestEstimateDimCommand:
     def test_gaussian_small_pipeline(self, tmp_path, capsys):
@@ -435,3 +456,11 @@ class TestMalformedOptions:
         assert cli.main(argv + ["--side-bin", side_bin, "--out", str(tmp_path / "p")]) == 2
         assert "side bin width" in capsys.readouterr().err
         assert not (tmp_path / "p.profile.json").exists()
+
+    def test_side_bin_on_integer_metric_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "t.edges"
+        inp.write_text("0 1\n1 2\n0 2\n2 3\n")
+        argv = ["profile", str(inp), "-m", "1.0", "--side-bin", "0.5", "--out", str(tmp_path / "p")]
+        assert cli.main(argv) == 2
+        assert "weighted metrics only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [inp]

@@ -20,11 +20,16 @@ from curvprof import (
     shortest_path_matrix,
     tree_graph,
 )
-from curvprof.profile import RHO_PLANE, profile_to_dict
+from curvprof.profile import RHO_PLANE, _side_keys, profile_to_dict
 
 
 def cycle(n):
     return shortest_path_matrix(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+def sides(D, side):
+    """Side graph of the pairs at an exact side."""
+    return _side_keys(D, None) == side
 
 
 def star():
@@ -39,18 +44,18 @@ def make_triple(D, a, b, c):
 class TestFindTriples:
     def test_c6_side2_exhaustive(self):
         D = cycle(6)
-        ts = find_equilateral_triples(D, 2, m=1.0, seed=0)
+        ts = find_equilateral_triples(D, sides(D, 2), m=1.0, seed=0)
         assert [(t.v1, t.v2, t.v3) for t in ts] == [(0, 2, 4), (1, 3, 5)]
         assert oracles.enumerate_equilateral(D, 2 - 1e-9, 2 + 1e-9) == [(0, 2, 4), (1, 3, 5)]
 
     def test_path_graph_has_no_triples(self):
         D = shortest_path_matrix(Graph.from_edges(7, [(i, i + 1) for i in range(6)]))
         for side in range(1, 7):
-            assert find_equilateral_triples(D, side, m=1.0, seed=0) == []
+            assert find_equilateral_triples(D, sides(D, side), m=1.0, seed=0) == []
 
     def test_k4_unit_side1(self):
         D = shortest_path_matrix(Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]))
-        ts = find_equilateral_triples(D, 1, m=1.0, seed=0)
+        ts = find_equilateral_triples(D, sides(D, 1), m=1.0, seed=0)
         assert 1 <= len(ts) <= 4
         all_triples = set(oracles.enumerate_equilateral(D, 1 - 1e-9, 1 + 1e-9))
         assert len(all_triples) == 4
@@ -59,35 +64,38 @@ class TestFindTriples:
 
     def test_sample_size_bounds_result(self):
         D = cycle(12)
-        ts_all = find_equilateral_triples(D, 4, m=1.0, seed=0)
-        ts_few = find_equilateral_triples(D, 4, m=0.25, seed=0)
+        ts_all = find_equilateral_triples(D, sides(D, 4), m=1.0, seed=0)
+        ts_few = find_equilateral_triples(D, sides(D, 4), m=0.25, seed=0)
         assert len(ts_all) == 4
         assert 1 <= len(ts_few) <= math.ceil(0.25 * 12)
         assert set(ts_few) <= set(ts_all)
 
     def test_sampling_is_seed_deterministic(self):
         D = cycle(30)
-        a = find_equilateral_triples(D, 10, m=0.3, seed=7)
-        b = find_equilateral_triples(D, 10, m=0.3, seed=7)
-        c = find_equilateral_triples(D, 10, m=0.3, seed=8)
+        a = find_equilateral_triples(D, sides(D, 10), m=0.3, seed=7)
+        b = find_equilateral_triples(D, sides(D, 10), m=0.3, seed=7)
+        c = find_equilateral_triples(D, sides(D, 10), m=0.3, seed=8)
         assert a == b
         assert a != c or len(a) == 0
 
     def test_sentinel_pairs_never_joined(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        D = shortest_path_matrix(g)
-        ts = find_equilateral_triples(D, 1, m=1.0, seed=0)
-        for t in ts:
-            assert {t.v1, t.v2, t.v3} <= {0, 1, 2} or {t.v1, t.v2, t.v3} <= {3, 4, 5}
-        # the sentinel value itself is never a valid side
-        assert find_equilateral_triples(D, D.sentinel, m=1.0, seed=0) == []
+        for w, h, key in ((1.0, None, 1), (0.7, 0.35, 2)):
+            edges = [(0, 1, w), (1, 2, w), (0, 2, w), (3, 4, w), (4, 5, w), (3, 5, w)]
+            D = shortest_path_matrix(Graph.from_edges(6, edges))
+            assert D.integer_valued is (h is None)
+            keys = _side_keys(D, h)
+            # the sentinel is never a valid side: its pairs belong to no scale
+            assert D.sentinel is not None and not keys[D.d == D.sentinel].any()
+            assert np.unique(keys).tolist() == [0, key]
+            ts = find_equilateral_triples(D, keys == key, m=1.0, seed=0)
+            assert [(t.v1, t.v2, t.v3) for t in ts] == [(0, 1, 2), (3, 4, 5)]
 
     def test_invalid_params(self):
         D = cycle(6)
         with pytest.raises(InputError):
-            find_equilateral_triples(D, 0, m=1.0)
+            find_equilateral_triples(D, sides(D, 2)[:5], m=1.0)
         with pytest.raises(InputError):
-            find_equilateral_triples(D, 2, m=0.0)
+            find_equilateral_triples(D, sides(D, 2), m=0.0)
 
 
 class TestRhoMinmax:
@@ -272,10 +280,13 @@ class TestBuildProfile:
         assert sum(r.count for r in p.records) <= sum(r.count for r in full.records)
         # membership restriction is real: rebuild the triples and check them
         for rec in p.records:
-            ts = find_equilateral_triples(
-                D, 2 * rec.r, m=1.0, seed=[2, int(2 * rec.r)],
-                allowed=sorted(subset),
-            )
+            outside = np.array([v not in subset for v in range(D.n)])
+            keys = _side_keys(D, None)
+            keys[outside] = 0
+            keys[:, outside] = 0
+            k = int(2 * rec.r)
+            ts = find_equilateral_triples(D, keys == k, m=1.0, seed=[2, k])
+            assert len(ts) == rec.count
             for t in ts:
                 assert {t.v1, t.v2, t.v3} <= subset
 
@@ -306,6 +317,40 @@ class TestBuildProfile:
         with pytest.raises(InputError, match="side bin width"):
             build_profile(D, m=1.0, seed=0, h=h)
 
+    def test_side_bin_rejected_on_integer_valued_metric(self):
+        D = shortest_path_matrix(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+        assert D.integer_valued
+        with pytest.raises(InputError, match="weighted metrics only"):
+            build_profile(D, m=1.0, seed=0, h=0.5)
+
+    def test_binned_cycle_keeps_the_window_floor_misses(self):
+        # floor(d / h) keys the triangle side 1.7 one window above the one holding it
+        D = shortest_path_matrix(Graph.from_edges(51, [(i, (i + 1) % 51, 0.1) for i in range(51)]))
+        p = build_profile(D, m=1.0, seed=0)
+        assert len(p.records) == 1
+        assert p.records[0].rho_values == (2.0,) * 17
+        # the record is labelled by the window [k*h, (k+1)*h) that holds the side
+        h, side = p.meta["side_bin"], D.d[0, 17]
+        k = round(2 * p.records[0].r / h - 0.5)
+        assert k * h <= side < (k + 1) * h
+
+    @pytest.mark.parametrize("case", ["er", "plane"])
+    def test_peak_memory_below_two_and_a_half_matrices(self, case):
+        import tracemalloc
+
+        from curvprof import adaptive_graph
+        from curvprof.generate import erdos_renyi, plane_sample
+
+        g = erdos_renyi(800, 4.0, seed=0) if case == "er" else adaptive_graph(plane_sample(1000, seed=0), 15, 20)
+        D = shortest_path_matrix(g)
+        tracemalloc.start()
+        try:
+            build_profile(D, m=0.1, seed=0, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * D.d.nbytes
+
 
 class TestClosedFormAndSerialization:
     def test_circle_closed_form(self):
@@ -335,8 +380,11 @@ class TestClosedFormAndSerialization:
         import curvprof
 
         Dc = curvprof.distance_matrix_from_array(side * (1 - np.eye(3)))
-        t = find_equilateral_triples(Dc, side, m=1.0, seed=0, side_window=(side * 0.9, side * 1.1))[0]
+        def arc_window(M):
+            return (M.d >= side * 0.9) & (M.d < side * 1.1)
+
+        t = find_equilateral_triples(Dc, arc_window(Dc), m=1.0, seed=0)[0]
         assert rho_minmax(Dc, t).rho == 2.0
         # and the float-angle construction agrees to machine precision
-        t2 = find_equilateral_triples(D, side, m=1.0, seed=0, side_window=(side * 0.9, side * 1.1))[0]
+        t2 = find_equilateral_triples(D, arc_window(D), m=1.0, seed=0)[0]
         assert rho_minmax(D, t2).rho == pytest.approx(2.0, abs=1e-12)

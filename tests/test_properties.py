@@ -11,7 +11,7 @@ import oracles
 from curvprof import Graph, shortest_path_matrix
 from curvprof.graphs import _graph_from_neighbor_selection
 from curvprof.metric import _finalize_distance_matrix
-from curvprof.profile import DEFAULT_SIDE_BINS, _scales, _side_mask, find_equilateral_triples
+from curvprof.profile import DEFAULT_SIDE_BINS, _side_keys, find_equilateral_triples
 
 # small id ranges make reversed pairs, repeats, self-loops and
 # out-of-range ids common
@@ -72,8 +72,9 @@ def small_metrics(draw):
     """Shortest-path metric of a random graph on <= 14 vertices.
 
     Unweighted, integer- or float-weighted (half-integers and near-unit
-    floats put many triangles in one side bin); cutting every edge across a
-    random split point makes some of them disconnected.
+    floats put many triangles in one side bin; uniform tenths make d / h
+    round across window edges); cutting every edge across a random split
+    point makes some of them disconnected.
     """
     n = draw(st.integers(3, 14))
     pairs = list(itertools.combinations(range(n), 2))
@@ -84,6 +85,9 @@ def small_metrics(draw):
         st.sampled_from(
             [
                 st.just(1.0),
+                st.just(0.1),
+                st.just(0.2),
+                st.just(0.3),
                 st.integers(1, 4).map(float),
                 st.sampled_from([0.5, 1.5, 2.5]),
                 st.floats(0.9, 1.1),
@@ -99,6 +103,15 @@ def _closes(A, triple):
     return any(A[p, q] and A[p, r] and A[q, r] for p, q, r in itertools.permutations(triple))
 
 
+def _cycle(n, w):
+    return shortest_path_matrix(Graph.from_edges(n, [(i, (i + 1) % n, w) for i in range(n)]))
+
+
+def _reference_scale(k, h):
+    """Side label and window of key ``k``, as the reference scale list gives them."""
+    return (float(k), None) if h is None else (float((k + 0.5) * h), (float(k * h), float((k + 1) * h)))
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     D=small_metrics(),
@@ -106,22 +119,38 @@ def _closes(A, triple):
     seed=st.integers(0, 2**32 - 1),
     allowed=st.one_of(st.none(), st.lists(st.integers(0, 13), unique=True)),
 )
+# floor(d / h) keys the triangle side 1.7 one window above the one holding it
+@example(D=_cycle(51, 0.1), m=1.0, seed=0, allowed=None)
 def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
+    keep = np.ones(D.n, dtype=bool)
     if allowed is not None:
         allowed = np.array(sorted(v for v in allowed if v < D.n), dtype=np.int64)
+        keep[:] = False
+        keep[allowed] = True
     h = None if D.integer_valued else D.diameter / DEFAULT_SIDE_BINS
-    for key, label, window in _scales(D, h):
-        args = (D, label, m, [seed, key], window, allowed)
-        got = find_equilateral_triples(*args)
-        A = _side_mask(D, label, window)
-        if allowed is not None:
-            keep = np.zeros(D.n, dtype=bool)
-            keep[allowed] = True
-            A &= keep[:, None] & keep[None, :]
+    keys = _side_keys(D, h)
+    keys[~keep] = 0
+    keys[:, ~keep] = 0
+
+    def reference_mask(k):
+        A = oracles.side_mask(D, *_reference_scale(k, h))
+        return A & keep[:, None] & keep[None, :]
+
+    # every window that could hold a finite side, listed or not
+    top = max((k for k, _, _ in oracles.scales(D, h)), default=0) + 2
+    assert set(np.unique(keys).tolist()) - {0} == {k for k in range(1, top) if reference_mask(k).any()}
+    for k in np.unique(keys).tolist():
+        if not k:
+            continue
+        A = keys == k
+        ref = reference_mask(k)
+        assert A.tobytes() == ref.tobytes()
+        got = find_equilateral_triples(D, A, m=m, seed=[seed, k])
         if np.array_equal(A, A.T):
-            assert got == oracles.equilateral_triples_scan(*args)
+            label, window = _reference_scale(k, h)
+            assert got == oracles.equilateral_triples_scan(D, label, m, [seed, k], window, allowed)
         else:
-            # an ulp-asymmetric weighted mask: the row-built pick still closes
+            # an ulp-asymmetric weighted side graph: the row-built pick still closes
             assert all(_closes(A, (t.v1, t.v2, t.v3)) for t in got)
 
 
