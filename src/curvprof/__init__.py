@@ -47,17 +47,13 @@ from .profile import (
     RHO_PLANE,
     RHO_TREE,
     CurvatureProfile,
-    EquilateralTriple,
     ProfileRecord,
-    RhoValue,
     build_profile,
     cluster_sample_subset,
     find_equilateral_triples,
     load_profile_json,
     profile_from_dict,
     profile_to_dict,
-    rho_ball_growth,
-    rho_circle_closed_form,
     rho_general,
     rho_minmax,
     save_profile_json,

@@ -42,7 +42,6 @@ from .profile import (
     save_profile_json,
     write_long_csv,
     write_summary_csv,
-    EquilateralTriple,
 )
 from .transport import GridSpec, estimate_dimension, to_distribution, wasserstein1
 
@@ -239,18 +238,16 @@ def cmd_rho(args):
     d12, d13, d23 = D.d[v1, v2], D.d[v1, v3], D.d[v2, v3]
     g = gromov_products(d12, d13, d23)
     shape = lambda_measure(d12, d13, d23)
-    rv = rho_general(D, v1, v2, v3)
+    rho, witness = rho_general(D, v1, v2, v3)
     print(f"d({v1},{v2}) = {d12:g}   d({v1},{v3}) = {d13:g}   d({v2},{v3}) = {d23:g}")
     print(f"gromov products: r1 = {g.r1:g}, r2 = {g.r2:g}, r3 = {g.r3:g}")
     print(f"lambda = {shape.lam:.6f}"
           + ("  (equilateral)" if shape.is_equilateral else "")
           + ("  (degenerate)" if shape.is_degenerate else ""))
-    print(f"rho = {rv.rho:.6f}   witness vertex = {rv.witness}")
+    print(f"rho = {rho:.6f}   witness vertex = {witness}")
     if shape.is_equilateral:
-        side = float(max(d12, d13, d23))
-        t = EquilateralTriple(*sorted((v1, v2, v3)), side=side, r=side / 2)
-        mm = rho_minmax(D, t)
-        print(f"equilateral min-max rho = {mm.rho:.6f}   witness = {mm.witness}")
+        rhos, witnesses = rho_minmax(D, [sorted((v1, v2, v3))])
+        print(f"equilateral min-max rho = {rhos[0]:.6f}   witness = {witnesses[0]}")
     return EXIT_OK
 
 

@@ -36,30 +36,6 @@ DEFAULT_SIDE_BINS = 50
 
 
 @dataclass(frozen=True)
-class EquilateralTriple:
-    """Three vertices whose pairwise distances agree within the scale window.
-
-    ``side`` is the largest of the three pairwise distances (identical to
-    the common side for exact metrics); ``r = side / 2`` is the common
-    Gromov product and the radius the expansion starts from.
-    """
-
-    v1: int
-    v2: int
-    v3: int
-    side: float
-    r: float
-
-
-@dataclass(frozen=True)
-class RhoValue:
-    """An expansion factor together with the vertex attaining the min-max."""
-
-    rho: float
-    witness: int
-
-
-@dataclass(frozen=True)
 class ProfileRecord:
     r: float
     rho_values: tuple
@@ -88,15 +64,12 @@ class CurvatureProfile:
 
 
 def _check_rho_range(rho):
-    if rho < 1.0:
-        if rho < 1.0 - _RHO_RANGE_SLACK:
-            raise RuntimeError(f"expansion factor {rho} below 1: metric input is inconsistent")
-        return 1.0
-    if rho > 2.0:
-        if rho > 2.0 + _RHO_RANGE_SLACK:
-            raise RuntimeError(f"expansion factor {rho} above 2: metric input is inconsistent")
-        return 2.0
-    return rho
+    """Clamp an array of expansion factors onto [1, 2], or raise on the first one beyond the slack."""
+    bad = rho[(rho < 1.0 - _RHO_RANGE_SLACK) | (rho > 2.0 + _RHO_RANGE_SLACK)]
+    if bad.size:
+        side = "below 1" if bad[0] < 1.0 else "above 2"
+        raise RuntimeError(f"expansion factor {float(bad[0])} {side}: metric input is inconsistent")
+    return np.clip(rho, 1.0, 2.0)
 
 
 def _side_keys(D, h):
@@ -160,7 +133,8 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
     takes its first side partner that lies on a triangle with it, then the
     first common partner of the two: the first triple of a lexicographic
     pair scan. Duplicated vertex sets are merged, so the result has at most
-    the sample size many triples, returned sorted.
+    the sample size many triples: a sorted list of ``(a, b, c)`` vertex-id
+    tuples with ``a < b < c``.
     """
     if not (0 < m <= 1):
         raise InputError("sample fraction m must lie in (0, 1]")
@@ -191,69 +165,35 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
     j = E[rows].argmax(axis=1)
     k = (As[rows] & As[j]).argmax(axis=1)
     picks = np.sort(active[np.column_stack((rows, j, k))], axis=1)
-
-    triples = []
-    for a, b, c in sorted(set(map(tuple, picks.tolist()))):
-        actual = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
-        triples.append(EquilateralTriple(v1=a, v2=b, v3=c, side=actual, r=actual / 2.0))
-    return triples
+    return sorted(set(map(tuple, picks.tolist())))
 
 
-def rho_minmax(D, t: EquilateralTriple) -> RhoValue:
-    """Exact expansion factor: minimize the largest distance to the triple.
+def rho_minmax(D, triples):
+    """Exact expansion factors of a (t, 3) array of vertex triples.
 
-    O(N) scan over all vertices; the witness is the argmin, smallest index
-    on ties. Works across the whole matrix because sentinel rows can never
-    attain the minimum.
+    ``r`` is half the longest of a triple's sides ``d[a, b]``, ``d[a, c]``,
+    ``d[b, c]``; rho = min over all vertices x of max_i d(x_i, x), over r.
+    Returns the arrays ``(rho, witness)``; the witness is the argmin,
+    smallest index on ties. Works across the whole matrix because sentinel
+    rows can never attain the minimum.
     """
-    rows = D.d[[t.v1, t.v2, t.v3]]
-    maxd = rows.max(axis=0)
-    w = int(np.argmin(maxd))
-    return RhoValue(rho=_check_rho_range(float(maxd[w] / t.r)), witness=w)
+    a, b, c = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
+    r = np.maximum(np.maximum(D.d[a, b], D.d[a, c]), D.d[b, c]) / 2.0
+    # the t x n row maximum is built in place: two t x n arrays at most
+    mx = D.d[a]
+    np.maximum(mx, D.d[b], out=mx)
+    np.maximum(mx, D.d[c], out=mx)
+    return _check_rho_range(mx.min(axis=1) / r), mx.argmin(axis=1)
 
 
-def rho_ball_growth(D, t: EquilateralTriple, step=None) -> RhoValue:
-    """Expansion factor by growing the three balls until they meet.
-
-    Starts all radii at r = side/2 and enlarges them until some vertex lies
-    in all three balls; returns r_out / r_in. With ``step=None`` the radius
-    jumps along the ladder of distinct distances occurring in D, which makes
-    the result exactly equal to :func:`rho_minmax`; a positive ``step``
-    grows arithmetically and agrees up to one step.
-    """
-    rows = D.d[[t.v1, t.v2, t.v3]]
-    maxd = rows.max(axis=0)
-    r = t.r
-    ladder = None
-    if step is None:
-        finite = D.d[D.finite_mask()]
-        ladder = np.unique(finite[finite > 0])
-    elif step <= 0:
-        raise InputError("step must be positive")
-    while not np.any(maxd <= r):
-        if r > D.diameter:
-            raise RuntimeError(
-                "ball growth exceeded the diameter: triple spans disconnected components"
-            )
-        if ladder is not None:
-            pos = np.searchsorted(ladder, r, side="right")
-            if pos >= ladder.size:
-                raise RuntimeError("distance ladder exhausted before the balls met")
-            r = float(ladder[pos])
-        else:
-            r = r + step
-    witness = int(np.argmax(maxd <= r))
-    return RhoValue(rho=_check_rho_range(float(r / t.r)), witness=witness)
-
-
-def rho_general(D, v1, v2, v3) -> RhoValue:
+def rho_general(D, v1, v2, v3):
     """Expansion factor of an arbitrary triple, with per-vertex ball radii.
 
     Each ball gets its own Gromov product as the base radius, so this is the
-    full min-max of max_i d(x_i, x)/r_i. Collinear triples (one product
-    zero) are assigned rho = 1 with the middle point as witness. Unlike the
-    equilateral case, values above 2 are possible in sparse graphs and are
-    returned as-is.
+    full min-max of max_i d(x_i, x)/r_i; returns ``(rho, witness)``.
+    Collinear triples (one product zero) are assigned rho = 1 with the
+    middle point as witness. Unlike the equilateral case, values above 2
+    are possible in sparse graphs and are returned as-is.
     """
     if not D.is_connected_triple(v1, v2, v3):
         raise InputError("triple spans disconnected components (sentinel distance)")
@@ -266,11 +206,11 @@ def rho_general(D, v1, v2, v3) -> RhoValue:
     verts = (v1, v2, v3)
     small = rvec <= 1e-12 * scale
     if small.any():
-        return RhoValue(rho=1.0, witness=int(verts[int(np.argmin(rvec))]))
+        return 1.0, int(verts[int(np.argmin(rvec))])
     rows = D.d[list(verts)]
     scores = (rows / rvec[:, None]).max(axis=0)
     w = int(np.argmin(scores))
-    return RhoValue(rho=float(scores[w]), witness=w)
+    return float(scores[w]), w
 
 
 def build_profile(
@@ -325,7 +265,7 @@ def build_profile(
     def job(key):
         triples = find_equilateral_triples(D, keys == key, m=m, seed=[seed, key])
         label = float(key) if used_h is None else (key + 0.5) * used_h
-        return label, tuple(rho_minmax(D, t).rho for t in triples)
+        return label, (tuple(rho_minmax(D, triples)[0].tolist()) if triples else ())
 
     if workers == 1 or len(scales) <= 1:
         results = [job(k) for k in scales]
@@ -353,17 +293,6 @@ def build_profile(
     if extra_meta:
         meta.update(extra_meta)
     return CurvatureProfile(records=tuple(records), meta=meta)
-
-
-def rho_circle_closed_form(angle):
-    """rho of a triple on a circle from the center angle of its longest side.
-
-    Evaluates 2*pi/angle - 1; three equidistant points (angle 2*pi/3) give
-    exactly 2. Used as a test oracle for arc-metric samples.
-    """
-    if not (0 < angle < 2 * math.pi):
-        raise InputError("angle must lie in (0, 2*pi)")
-    return 2 * math.pi / angle - 1
 
 
 # -- serialization ----------------------------------------------------------

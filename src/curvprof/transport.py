@@ -93,12 +93,13 @@ def to_distribution(profile: CurvatureProfile, grid=None, normalize_r=True) -> P
         raise EmptyResultError("cannot build a distribution from an empty profile")
     grid = grid or GridSpec()
     max_r = profile.max_r()
-    obs = []
-    for rec in profile.records:
-        r = rec.r / max_r if normalize_r else rec.r
-        for rho in rec.rho_values:
-            obs.append((r, rho))
-    obs = np.asarray(obs)
+    r = np.array([rec.r for rec in profile.records])
+    if normalize_r:
+        r /= max_r
+    obs = np.column_stack((
+        np.repeat(r, [rec.count for rec in profile.records]),
+        np.concatenate([rec.rho_values for rec in profile.records]),
+    ))
     nodes = grid.nodes()
     _, node_idx = cKDTree(nodes).query(obs)
     occupied, counts = np.unique(node_idx, return_counts=True)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 
@@ -50,6 +51,73 @@ def rho_minmax_loop(D, v1, v2, v3, r):
     return best / r, witness
 
 
+def rho_ball_growth(D, a, b, c, step=None):
+    """Expansion factor by growing the three balls until they meet.
+
+    Starts all radii at r, half the longest of ``d[a, b]``, ``d[a, c]``,
+    ``d[b, c]``, and enlarges them until some vertex lies in all three
+    balls; returns ``(r_out / r, witness)``, unclamped. With ``step=None``
+    the radius jumps along the ladder of distinct distances occurring in D,
+    which makes the result exactly equal to the min-max; a positive
+    ``step`` grows arithmetically and agrees up to one step.
+    """
+    from curvprof import InputError
+
+    maxd = D.d[[a, b, c]].max(axis=0)
+    r_in = float(max(D.d[a, b], D.d[a, c], D.d[b, c])) / 2.0
+    r = r_in
+    ladder = None
+    if step is None:
+        finite = D.d[D.finite_mask()]
+        ladder = np.unique(finite[finite > 0])
+    elif step <= 0:
+        raise InputError("step must be positive")
+    while not np.any(maxd <= r):
+        if r > D.diameter:
+            raise RuntimeError(
+                "ball growth exceeded the diameter: triple spans disconnected components"
+            )
+        if ladder is not None:
+            pos = np.searchsorted(ladder, r, side="right")
+            if pos >= ladder.size:
+                raise RuntimeError("distance ladder exhausted before the balls met")
+            r = float(ladder[pos])
+        else:
+            r = r + step
+    return r / r_in, int(np.argmax(maxd <= r))
+
+
+def rho_circle_closed_form(angle):
+    """rho of a triple on a circle from the center angle of its longest side.
+
+    Evaluates 2*pi/angle - 1; three equidistant points (angle 2*pi/3) give
+    exactly 2.
+    """
+    from curvprof import InputError
+
+    if not (0 < angle < 2 * math.pi):
+        raise InputError("angle must lie in (0, 2*pi)")
+    return 2 * math.pi / angle - 1
+
+
+def to_distribution_loop(profile, grid, normalize_r):
+    """(observations, support, mass) of a profile on ``grid``.
+
+    The observations are built one Python tuple per rho value.
+    """
+    max_r = profile.max_r()
+    obs = []
+    for rec in profile.records:
+        r = rec.r / max_r if normalize_r else rec.r
+        for rho in rec.rho_values:
+            obs.append((r, rho))
+    obs = np.asarray(obs)
+    nodes = grid.nodes()
+    _, node_idx = cKDTree(nodes).query(obs)
+    occupied, counts = np.unique(node_idx, return_counts=True)
+    return obs, nodes[occupied], (counts / counts.sum()).astype(np.float64)
+
+
 def enumerate_equilateral(D, lo, hi):
     """All vertex triples whose three pairwise distances fall in [lo, hi)."""
     out = []
@@ -61,6 +129,15 @@ def enumerate_equilateral(D, lo, hi):
         if all(lo <= x < hi for x in ds):
             out.append((a, b, c))
     return out
+
+
+def enumerate_exact_equilateral(D):
+    """All equilateral triples of an integer-valued metric, side by side."""
+    return [
+        t
+        for side in range(1, int(D.diameter) + 1)
+        for t in enumerate_equilateral(D, side - 1e-9, side + 1e-9)
+    ]
 
 
 def w1_dense_lp(P, Q):
@@ -228,7 +305,6 @@ def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=N
     same candidates, same sample, same first (j, k) per vertex.
     """
     from curvprof import InputError
-    from curvprof.profile import EquilateralTriple
 
     if side <= 0:
         raise InputError("side must be positive")
@@ -269,11 +345,7 @@ def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=N
                 seen.add(tuple(sorted((int(s), int(j), int(hits[0])))))
                 break
 
-    triples = []
-    for a, b, c in sorted(seen):
-        actual = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
-        triples.append(EquilateralTriple(v1=a, v2=b, v3=c, side=actual, r=actual / 2.0))
-    return triples
+    return sorted(seen)
 
 
 def _all_integral(values):

@@ -14,7 +14,6 @@ from scipy.spatial.distance import pdist, squareform
 
 import oracles
 from curvprof import (
-    EquilateralTriple,
     Graph,
     GridSpec,
     ProfileDistribution,
@@ -28,7 +27,6 @@ from curvprof import (
     gaussian_isometric,
     knn_graph,
     plane_sample,
-    rho_ball_growth,
     rho_minmax,
     shortest_path_matrix,
     tree_graph,
@@ -95,10 +93,9 @@ def test_criterion_02_circle_reference(circle_profile, reporter):
     # three exactly equidistant points: the arc metric is the constant matrix
     side = 2 * math.pi / 3
     D3 = distance_matrix_from_array(side * (1 - np.eye(3)))
-    t = EquilateralTriple(0, 1, 2, side=side, r=side / 2)
-    rv = rho_minmax(D3, t)
-    RHO_REGISTRY.append(rv.rho)
-    assert rv.rho == 2.0
+    rho = rho_minmax(D3, [(0, 1, 2)])[0].tolist()
+    RHO_REGISTRY.extend(rho)
+    assert rho == [2.0]
     reporter(2, f"circle 500: {len(populated)} populated scale(s), min mean rho "
               f"{min(r.mean_rho for r in populated):.4f}; equidistant triple rho == 2.0 exactly")
 
@@ -125,14 +122,12 @@ def test_criterion_04_ball_growth_oracle_equivalence(reporter):
         D = shortest_path_matrix(Graph.from_edges(n, edges))
         assert D.sentinel is None
         graphs += 1
-        for side in range(1, int(D.diameter) + 1):
-            for a, b, c in oracles.enumerate_equilateral(D, side - 1e-9, side + 1e-9):
-                t = EquilateralTriple(a, b, c, side=float(side), r=side / 2.0)
-                exact = rho_minmax(D, t)
-                grown = rho_ball_growth(D, t, step=None)
-                assert grown.rho == exact.rho
-                RHO_REGISTRY.append(exact.rho)
-                triples += 1
+        enumerated = oracles.enumerate_exact_equilateral(D)
+        exact = rho_minmax(D, enumerated)[0].tolist()
+        grown = [oracles.rho_ball_growth(D, *t, step=None)[0] for t in enumerated]
+        assert grown == exact
+        RHO_REGISTRY.extend(exact)
+        triples += len(enumerated)
     assert triples > 1000, "battery too small to be meaningful"
     reporter(4, f"ball growth == min-max exactly on {triples} triples over {graphs} connected ER graphs")
 

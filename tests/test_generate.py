@@ -70,10 +70,9 @@ class TestCircle:
 
         side = 2 * math.pi / 3
         D = curvprof.distance_matrix_from_array(side * (1 - np.eye(3)))
-        from curvprof import EquilateralTriple, rho_minmax
+        from curvprof import rho_minmax
 
-        t = EquilateralTriple(0, 1, 2, side=side, r=side / 2)
-        assert rho_minmax(D, t).rho == 2.0
+        assert rho_minmax(D, [(0, 1, 2)])[0].tolist() == [2.0]
 
     def test_antipodal_distance_pi(self):
         D = circle_arc_metric([0.0, math.pi])

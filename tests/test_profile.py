@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from curvprof import (
-    EquilateralTriple,
     Graph,
     InputError,
     build_profile,
@@ -13,8 +12,6 @@ from curvprof import (
     circle_sample,
     find_equilateral_triples,
     profile_from_dict,
-    rho_ball_growth,
-    rho_circle_closed_form,
     rho_general,
     rho_minmax,
     shortest_path_matrix,
@@ -36,16 +33,15 @@ def star():
     return shortest_path_matrix(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
 
 
-def make_triple(D, a, b, c):
-    side = float(max(D.d[a, b], D.d[a, c], D.d[b, c]))
-    return EquilateralTriple(v1=a, v2=b, v3=c, side=side, r=side / 2)
+def half_side(D, a, b, c):
+    return float(max(D.d[a, b], D.d[a, c], D.d[b, c])) / 2
 
 
 class TestFindTriples:
     def test_c6_side2_exhaustive(self):
         D = cycle(6)
         ts = find_equilateral_triples(D, sides(D, 2), m=1.0, seed=0)
-        assert [(t.v1, t.v2, t.v3) for t in ts] == [(0, 2, 4), (1, 3, 5)]
+        assert ts == [(0, 2, 4), (1, 3, 5)]
         assert oracles.enumerate_equilateral(D, 2 - 1e-9, 2 + 1e-9) == [(0, 2, 4), (1, 3, 5)]
 
     def test_path_graph_has_no_triples(self):
@@ -59,8 +55,7 @@ class TestFindTriples:
         assert 1 <= len(ts) <= 4
         all_triples = set(oracles.enumerate_equilateral(D, 1 - 1e-9, 1 + 1e-9))
         assert len(all_triples) == 4
-        for t in ts:
-            assert (t.v1, t.v2, t.v3) in all_triples
+        assert set(ts) <= all_triples
 
     def test_sample_size_bounds_result(self):
         D = cycle(12)
@@ -88,7 +83,7 @@ class TestFindTriples:
             assert D.sentinel is not None and not keys[D.d == D.sentinel].any()
             assert np.unique(keys).tolist() == [0, key]
             ts = find_equilateral_triples(D, keys == key, m=1.0, seed=0)
-            assert [(t.v1, t.v2, t.v3) for t in ts] == [(0, 1, 2), (3, 4, 5)]
+            assert ts == [(0, 1, 2), (3, 4, 5)]
 
     def test_invalid_params(self):
         D = cycle(6)
@@ -100,59 +95,48 @@ class TestFindTriples:
 
 class TestRhoMinmax:
     def test_tripod_is_one_with_center_witness(self):
-        D = star()
-        t = make_triple(D, 1, 2, 3)
-        rv = rho_minmax(D, t)
-        assert rv.rho == 1.0 and rv.witness == 0
+        rho, witness = rho_minmax(star(), [(1, 2, 3)])
+        assert rho.tolist() == [1.0] and witness.tolist() == [0]
 
     def test_c6_triple_is_two(self):
         D = cycle(6)
-        rv = rho_minmax(D, make_triple(D, 0, 2, 4))
-        assert rv.rho == 2.0
+        assert rho_minmax(D, [(0, 2, 4)])[0].tolist() == [2.0]
 
     def test_k3_own_vertex_witness(self):
         D = shortest_path_matrix(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-        rv = rho_minmax(D, make_triple(D, 0, 1, 2))
-        assert rv.rho == 2.0 and rv.witness == 0
+        rho, witness = rho_minmax(D, [(0, 1, 2)])
+        assert rho.tolist() == [2.0] and witness.tolist() == [0]
 
     def test_matches_plain_loop_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             edges = oracles.random_connected_er(rng, 25, 0.15)
             D = shortest_path_matrix(Graph.from_edges(25, edges))
-            for side in range(1, int(D.diameter) + 1):
-                for a, b, c in oracles.enumerate_equilateral(D, side - 1e-9, side + 1e-9):
-                    t = make_triple(D, a, b, c)
-                    rv = rho_minmax(D, t)
-                    rho_o, w_o = oracles.rho_minmax_loop(D, a, b, c, t.r)
-                    assert rv.rho == rho_o
-                    assert rv.witness == w_o
-                    assert 1.0 <= rv.rho <= 2.0
+            triples = oracles.enumerate_exact_equilateral(D)
+            rho, witness = rho_minmax(D, triples)
+            for (a, b, c), x, w in zip(triples, rho.tolist(), witness.tolist()):
+                assert (x, w) == oracles.rho_minmax_loop(D, a, b, c, half_side(D, a, b, c))
+                assert 1.0 <= x <= 2.0
 
 
 class TestRhoBallGrowth:
     def test_tripod_terminates_immediately(self):
-        D = star()
-        rv = rho_ball_growth(D, make_triple(D, 1, 2, 3))
-        assert rv.rho == 1.0
+        assert oracles.rho_ball_growth(star(), 1, 2, 3)[0] == 1.0
 
     def test_c6_grows_to_two(self):
         D = cycle(6)
-        rv = rho_ball_growth(D, make_triple(D, 0, 2, 4))
-        assert rv.rho == 2.0
+        assert oracles.rho_ball_growth(D, 0, 2, 4)[0] == 2.0
 
     def test_arithmetic_step_within_one_step(self):
         D = cycle(9)
-        t = make_triple(D, 0, 3, 6)  # equilateral, side 3
-        exact = rho_minmax(D, t).rho
-        stepped = rho_ball_growth(D, t, step=0.25).rho
-        assert exact <= stepped <= exact + 0.25 / t.r + 1e-12
+        exact = rho_minmax(D, [(0, 3, 6)])[0][0]  # equilateral, side 3
+        stepped = oracles.rho_ball_growth(D, 0, 3, 6, step=0.25)[0]
+        assert exact <= stepped <= exact + 0.25 / half_side(D, 0, 3, 6) + 1e-12
 
     def test_cross_component_triple_trips_guard(self):
         D = shortest_path_matrix(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
-        t = make_triple(D, 0, 1, 3)  # spans two components, side = sentinel
-        with pytest.raises(RuntimeError):
-            rho_ball_growth(D, t)
+        with pytest.raises(RuntimeError):  # spans two components, side = sentinel
+            oracles.rho_ball_growth(D, 0, 1, 3)
 
     def test_equals_minmax_on_random_connected_graphs(self):
         rng = np.random.default_rng(21)
@@ -160,21 +144,19 @@ class TestRhoBallGrowth:
             n = int(rng.integers(8, 30))
             edges = oracles.random_connected_er(rng, n, 0.2)
             D = shortest_path_matrix(Graph.from_edges(n, edges))
-            for side in range(1, int(D.diameter) + 1):
-                for a, b, c in oracles.enumerate_equilateral(D, side - 1e-9, side + 1e-9):
-                    t = make_triple(D, a, b, c)
-                    assert rho_ball_growth(D, t).rho == rho_minmax(D, t).rho
+            triples = oracles.enumerate_exact_equilateral(D)
+            rho = rho_minmax(D, triples)[0].tolist()
+            assert [oracles.rho_ball_growth(D, *t)[0] for t in triples] == rho
 
 
 class TestRhoGeneral:
     def test_collinear_assigned_one(self):
         D = shortest_path_matrix(Graph.from_edges(3, [(0, 1), (1, 2)]))
-        rv = rho_general(D, 0, 1, 2)
-        assert rv.rho == 1.0 and rv.witness == 1
+        assert rho_general(D, 0, 1, 2) == (1.0, 1)
 
     def test_equilateral_agrees_with_minmax(self):
         D = cycle(6)
-        assert rho_general(D, 0, 2, 4).rho == rho_minmax(D, make_triple(D, 0, 2, 4)).rho
+        assert rho_general(D, 0, 2, 4)[0] == rho_minmax(D, [(0, 2, 4)])[0][0]
 
     def test_cross_component_rejected(self):
         D = shortest_path_matrix(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))
@@ -288,7 +270,7 @@ class TestBuildProfile:
             ts = find_equilateral_triples(D, keys == k, m=1.0, seed=[2, k])
             assert len(ts) == rec.count
             for t in ts:
-                assert {t.v1, t.v2, t.v3} <= subset
+                assert set(t) <= subset
 
     def test_cluster_sample_deterministic(self):
         D = cycle(20)
@@ -334,8 +316,17 @@ class TestBuildProfile:
         k = round(2 * p.records[0].r / h - 0.5)
         assert k * h <= side < (k + 1) * h
 
-    @pytest.mark.parametrize("case", ["er", "plane"])
-    def test_peak_memory_below_two_and_a_half_matrices(self, case):
+    # the rho gather holds two t x n arrays, and t grows with m
+    @pytest.mark.parametrize(
+        "case, m",
+        [
+            pytest.param("er", 0.1, id="er"),
+            pytest.param("plane", 0.1, id="plane"),
+            pytest.param("er", 1.0, id="er-m1"),
+            pytest.param("plane", 1.0, id="plane-m1"),
+        ],
+    )
+    def test_peak_memory_below_two_and_a_half_matrices(self, case, m):
         import tracemalloc
 
         from curvprof import adaptive_graph
@@ -345,7 +336,7 @@ class TestBuildProfile:
         D = shortest_path_matrix(g)
         tracemalloc.start()
         try:
-            build_profile(D, m=0.1, seed=0, workers=1)
+            build_profile(D, m=m, seed=0, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,13 +345,13 @@ class TestBuildProfile:
 
 class TestClosedFormAndSerialization:
     def test_circle_closed_form(self):
-        assert rho_circle_closed_form(2 * math.pi / 3) == pytest.approx(2.0)
-        assert rho_circle_closed_form(math.pi) == pytest.approx(1.0)
-        assert rho_circle_closed_form(math.pi / 2) == pytest.approx(3.0)
+        assert oracles.rho_circle_closed_form(2 * math.pi / 3) == pytest.approx(2.0)
+        assert oracles.rho_circle_closed_form(math.pi) == pytest.approx(1.0)
+        assert oracles.rho_circle_closed_form(math.pi / 2) == pytest.approx(3.0)
         with pytest.raises(InputError):
-            rho_circle_closed_form(0.0)
+            oracles.rho_circle_closed_form(0.0)
         with pytest.raises(InputError):
-            rho_circle_closed_form(2 * math.pi)
+            oracles.rho_circle_closed_form(2 * math.pi)
 
     def test_plane_reference_constant(self):
         assert RHO_PLANE == pytest.approx(2 / math.sqrt(3))
@@ -383,8 +374,8 @@ class TestClosedFormAndSerialization:
         def arc_window(M):
             return (M.d >= side * 0.9) & (M.d < side * 1.1)
 
-        t = find_equilateral_triples(Dc, arc_window(Dc), m=1.0, seed=0)[0]
-        assert rho_minmax(Dc, t).rho == 2.0
+        ts = find_equilateral_triples(Dc, arc_window(Dc), m=1.0, seed=0)
+        assert rho_minmax(Dc, ts)[0].tolist() == [2.0]
         # and the float-angle construction agrees to machine precision
-        t2 = find_equilateral_triples(D, arc_window(D), m=1.0, seed=0)[0]
-        assert rho_minmax(D, t2).rho == pytest.approx(2.0, abs=1e-12)
+        ts = find_equilateral_triples(D, arc_window(D), m=1.0, seed=0)
+        assert rho_minmax(D, ts)[0].tolist() == pytest.approx([2.0], abs=1e-12)

@@ -1,17 +1,29 @@
-"""Property tests: graph builders, matrix finalisation and the triple search against loop references."""
+"""Property tests: graph builders, matrix finalisation, the triple search, rho and
+profile distributions against loop references."""
 
 import itertools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
-from curvprof import Graph, shortest_path_matrix
+from curvprof import CurvatureProfile, Graph, GridSpec, build_profile, shortest_path_matrix, to_distribution
 from curvprof.graphs import _graph_from_neighbor_selection
 from curvprof.metric import _finalize_distance_matrix
-from curvprof.profile import DEFAULT_SIDE_BINS, _side_keys, find_equilateral_triples
+from curvprof.profile import (
+    _RHO_RANGE_SLACK,
+    DEFAULT_SIDE_BINS,
+    ProfileRecord,
+    _check_rho_range,
+    _side_keys,
+    find_equilateral_triples,
+    rho_minmax,
+)
 
 # small id ranges make reversed pairs, repeats, self-loops and
 # out-of-range ids common
@@ -151,7 +163,7 @@ def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
             assert got == oracles.equilateral_triples_scan(D, label, m, [seed, k], window, allowed)
         else:
             # an ulp-asymmetric weighted side graph: the row-built pick still closes
-            assert all(_closes(A, (t.v1, t.v2, t.v3)) for t in got)
+            assert all(_closes(A, t) for t in got)
 
 
 near_integer = st.builds(
@@ -202,3 +214,88 @@ def test_finalize_matches_copying_reference(d):
         expected.diameter,
         expected.integer_valued,
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=small_metrics(), data=st.data())
+def test_rho_minmax_matches_loop_reference(D, data):
+    triples = data.draw(st.lists(st.permutations(range(D.n)).map(lambda p: tuple(p[:3])), max_size=20))
+    # a longest side below twice the smallest normal float halves inexactly;
+    # no scale holds one
+    halves = [max(D.d[a, b], D.d[a, c], D.d[b, c]) / 2 for a, b, c in triples]
+    kept = [(t, r) for t, r in zip(triples, halves) if r >= np.finfo(float).tiny]
+    rho, witness = rho_minmax(D, [t for t, _ in kept])
+    assert rho.shape == witness.shape == (len(kept),)
+    for ((a, b, c), r), x, w in zip(kept, rho.tolist(), witness.tolist()):
+        expected, expected_w = oracles.rho_minmax_loop(D, a, b, c, r)
+        # any triple of a metric has rho in [1, 2]; only float dust is clamped
+        assert 1 - _RHO_RANGE_SLACK <= expected <= 2 + _RHO_RANGE_SLACK
+        assert x == min(max(expected, 1.0), 2.0)
+        assert w == expected_w
+
+
+@st.composite
+def connected_metrics(draw):
+    """Shortest-path metric of a random connected graph: a random tree plus extra edges."""
+    n = draw(st.integers(3, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] < e[1]), max_size=2 * n)))
+    weights = draw(st.sampled_from([st.just(1.0), st.integers(1, 4).map(float), st.floats(0.1, 4.0)]))
+    return shortest_path_matrix(Graph.from_edges(n, [(a, b, draw(weights)) for a, b in sorted(edges)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=connected_metrics(), m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_profile_rho_lies_in_unit_interval(D, m, seed):
+    assert D.sentinel is None
+    for rec in build_profile(D, m=m, seed=seed).records:
+        assert all(1.0 <= x <= 2.0 for x in rec.rho_values)
+
+
+def test_check_rho_range_clamps_dust_and_names_the_outlier():
+    dust = np.array([1.0 - _RHO_RANGE_SLACK, 1.0, 1.5, 2.0, 2.0 + _RHO_RANGE_SLACK])
+    assert _check_rho_range(dust).tolist() == [1.0, 1.0, 1.5, 2.0, 2.0]
+    for bad, side in ((1.0 - 3 * _RHO_RANGE_SLACK, "below 1"), (2.0 + 3 * _RHO_RANGE_SLACK, "above 2")):
+        with pytest.raises(RuntimeError, match=re.escape(f"expansion factor {bad} {side}")):
+            _check_rho_range(np.array([1.5, bad, 1.0]))
+
+
+profile_records = st.lists(
+    st.tuples(
+        st.floats(1e-3, 1e3),
+        st.lists(st.floats(1.0, 2.0), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=profile_records,
+    nr=st.integers(1, 60),
+    nrho=st.integers(1, 60),
+    normalize_r=st.booleans(),
+)
+def test_to_distribution_matches_loop_reference(records, nr, nrho, normalize_r):
+    profile = CurvatureProfile(
+        records=tuple(ProfileRecord(r=r, rho_values=tuple(v), mean_rho=float(np.mean(v))) for r, v in records),
+        meta={},
+    )
+    grid = GridSpec(nr=nr, nrho=nrho)
+    obs, support, mass = oracles.to_distribution_loop(profile, grid, normalize_r)
+    queried = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(x)
+            return super().query(x, *args, **kwargs)
+
+    # snapping hides most observation changes, so compare what is snapped too
+    with mock.patch("curvprof.transport.cKDTree", RecordingTree):
+        got = to_distribution(profile, grid, normalize_r=normalize_r)
+    assert [q.tobytes() for q in queried] == [obs.tobytes()]
+    assert got.support.tobytes() == support.tobytes()
+    assert got.mass.tobytes() == mass.tobytes()
+    assert got.meta["total_triangles"] == sum(len(v) for _, v in records)

@@ -68,6 +68,12 @@ class TestToDistribution:
         with pytest.raises(EmptyResultError):
             to_distribution(make_profile([]))
 
+    def test_records_without_rho_values_rejected(self):
+        # a stored profile may hold records with count 0
+        p = CurvatureProfile(records=(ProfileRecord(r=1.0, rho_values=(), mean_rho=1.0),), meta={})
+        with pytest.raises(EmptyResultError):
+            to_distribution(p)
+
     def test_masses_sum_to_one(self):
         rng = np.random.default_rng(0)
         edges = oracles.random_connected_er(rng, 30, 0.15)
