@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,11 @@ def cmd_compare(args):
     pa = load_profile_json(args.profile_a)
     pb = load_profile_json(args.profile_b)
     grid = _parse_grid(args.grid)
+    if args.no_normalize_r:
+        # raw r keeps the profiles' units, so the r axis must reach the largest
+        # r of either profile (an empty profile fails in to_distribution below)
+        max_r = max((p.max_r() for p in (pa, pb) if not p.is_empty), default=1.0)
+        grid = replace(grid, r_range=(0.0, max_r))
     da = to_distribution(pa, grid, normalize_r=not args.no_normalize_r)
     db = to_distribution(pb, grid, normalize_r=not args.no_normalize_r)
     cost, plan = wasserstein1(da, db, return_plan=True)
@@ -486,7 +492,9 @@ def build_parser():
     p.add_argument("profile_a")
     p.add_argument("profile_b")
     p.add_argument("--grid", default="50x50")
-    p.add_argument("--no-normalize-r", action="store_true")
+    p.add_argument("--no-normalize-r", action="store_true",
+                   help="compare raw r on an axis from 0 to the largest r of either profile, "
+                        "instead of dividing each profile's r by its own largest r")
     p.add_argument("--out", default=None, help="write the comparison JSON here")
     p.set_defaults(func=cmd_compare)
 

@@ -314,7 +314,14 @@ def profile_to_dict(p: CurvatureProfile) -> dict:
 
 
 def profile_from_dict(data) -> CurvatureProfile:
+    """Rebuild a stored profile, rejecting what no computed profile can hold.
+
+    A record's ``r`` must be finite and positive, its ``rho_values`` a list
+    of finite values in [1, 2], and its ``count`` their number.
+    """
     try:
+        if not all(isinstance(rec["rho_values"], list) for rec in data["records"]):
+            raise TypeError("rho_values must be a list")
         records = tuple(
             ProfileRecord(
                 r=float(rec["r"]),
@@ -330,6 +337,11 @@ def profile_from_dict(data) -> CurvatureProfile:
     for count, rec in zip(counts, records):
         if count != rec.count:
             raise InputError(f"record r={rec.r!r}: count {count} != {rec.count} rho values")
+        if not (math.isfinite(rec.r) and rec.r > 0):
+            raise InputError(f"record r={rec.r!r}: r must be finite and > 0")
+        bad = [x for x in rec.rho_values if not 1.0 <= x <= 2.0]
+        if bad:
+            raise InputError(f"record r={rec.r!r}: rho value {bad[0]!r} is not a finite value in [1, 2]")
     return CurvatureProfile(records=records, meta=meta)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from curvprof import cli
+from curvprof import cli, transport
 from curvprof.generate import plane_sample
 
 
@@ -227,6 +227,53 @@ class TestCompareCommand:
         assert cli.main(["compare", str(path), str(path)]) == 2
         assert "rho values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda recs: recs[0].update(r=float("nan")), "r must be finite and > 0"),
+            (lambda recs: recs[0].update(r=float("inf")), "r must be finite and > 0"),
+            (lambda recs: recs[0].update(r=-1.0), "r must be finite and > 0"),
+            (lambda recs: [rec.update(r=0.0) for rec in recs], "r must be finite and > 0"),
+            (lambda recs: recs[0]["rho_values"].__setitem__(0, float("nan")), "not a finite value in [1, 2]"),
+            (lambda recs: recs[0]["rho_values"].__setitem__(0, 7.0), "not a finite value in [1, 2]"),
+            (lambda recs: recs[0].update(rho_values="12", count=2), "rho_values must be a list"),
+        ],
+        ids=["nan-r", "inf-r", "negative-r", "all-r-zero", "nan-rho", "rho-7", "rho-values-string"],
+    )
+    def test_bad_stored_values_exit_2(self, tmp_path, capsys, edit, message):
+        inp = tmp_path / "tree.edges"
+        write_tree(inp)
+        cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "t")])
+        good = tmp_path / "t.profile.json"
+        payload = json.loads(good.read_text())
+        edit(payload["records"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["compare", str(bad), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_no_normalize_r_keeps_the_scale_axis(self, tmp_path):
+        # a hop-count profile has r >= 1 everywhere: on a [0, 1] axis every
+        # scale would snap onto the same column
+        inp = tmp_path / "tree.edges"
+        write_tree(inp)
+        cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "t")])
+        path = tmp_path / "t.profile.json"
+        payload = json.loads(path.read_text())
+        for rec in payload["records"]:
+            rec["r"] *= 2
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(json.dumps(payload))
+        out = tmp_path / "cmp.json"
+        assert cli.main(["compare", str(path), str(doubled), "--no-normalize-r", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["w1"] > 0
+        assert result["grid"]["r_range"] == [0.0, max(rec["r"] for rec in payload["records"])]
+        assert cli.main(["compare", str(path), str(doubled), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["w1"] == 0.0
+
 
 class TestEmbedCommand:
     def test_mds_on_points(self, tmp_path):
@@ -394,6 +441,27 @@ class TestComputedOnce:
                        "-m", "0.2", "--out", str(tmp_path / "est")])
         assert rc == 0
         assert len(calls) == 1
+
+    def test_estimate_dim_solves_one_lp_per_distinct_pair(self, tmp_path, monkeypatch):
+        inp = tmp_path / "pts.csv"
+        np.savetxt(inp, np.random.default_rng(4).standard_normal((60, 3)), delimiter=",")
+        transport._transport.cache_clear()
+        pairs, solves = [], []
+        real_w1, real_lp = transport.wasserstein1, transport._solve_transport_lp
+
+        def w1(P, Q, **kwargs):
+            pairs.append(frozenset((transport._dist_key(P), transport._dist_key(Q))))
+            return real_w1(P, Q, **kwargs)
+
+        monkeypatch.setattr(transport, "wasserstein1", w1)
+        monkeypatch.setattr(transport, "_solve_transport_lp", lambda *a: solves.append(1) or real_lp(*a))
+        rc = cli.main(["estimate-dim", str(inp), "--dims", "1-8", "--kmin", "5", "--kmax", "8",
+                       "-m", "0.2", "--out", str(tmp_path / "est")])
+        assert rc == 0
+        # every candidate is still scored; only distinct unequal pairs reach the LP
+        assert len(pairs) == 7
+        distinct = {pair for pair in pairs if len(pair) == 2}
+        assert len(solves) == len(distinct) < len(pairs)
 
 
 class TestPrecomputedMetric:

@@ -1,5 +1,5 @@
 """Property tests: graph builders, matrix finalisation, the triple search, rho and
-profile distributions against loop references."""
+profile distributions against loop references, and W1 against the dense LP."""
 
 import itertools
 import re
@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
-from curvprof import CurvatureProfile, Graph, GridSpec, build_profile, shortest_path_matrix, to_distribution
+from curvprof import (
+    CurvatureProfile,
+    Graph,
+    GridSpec,
+    ProfileDistribution,
+    build_profile,
+    shortest_path_matrix,
+    to_distribution,
+    transport,
+    wasserstein1,
+)
 from curvprof.graphs import _graph_from_neighbor_selection
 from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import (
@@ -299,3 +309,46 @@ def test_to_distribution_matches_loop_reference(records, nr, nrho, normalize_r):
     assert got.support.tobytes() == support.tobytes()
     assert got.mass.tobytes() == mass.tobytes()
     assert got.meta["total_triangles"] == sum(len(v) for _, v in records)
+
+
+@st.composite
+def grid_measure_pairs(draw):
+    """Two measures on one small grid, with masses from positive integer weights."""
+    grid = GridSpec(nr=draw(st.integers(1, 8)), nrho=draw(st.integers(1, 8)))
+    nodes = grid.nodes()
+
+    def measure():
+        idx = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=12, unique=True))
+        weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=len(idx), max_size=len(idx))), float)
+        return ProfileDistribution(support=nodes[sorted(idx)], mass=weights / weights.sum(), grid=grid)
+
+    P = measure()
+    return P, P if draw(st.booleans()) else measure()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=grid_measure_pairs())
+def test_w1_is_symmetric_zero_on_itself_and_equals_the_dense_lp(pair):
+    P, Q = pair
+    assert wasserstein1(P, P) == 0.0
+    assert wasserstein1(Q, Q) == 0.0
+    transport._transport.cache_clear()
+    w = wasserstein1(P, Q)
+    ref = oracles.w1_dense_lp(P, Q)
+    assert abs(w - ref) <= 1e-12
+    transport._transport.cache_clear()
+    assert wasserstein1(Q, P) == w
+    assert wasserstein1(P, Q) == w
+    assert abs(wasserstein1(Q, P) - ref) <= 1e-12
+    solved = transport._dist_key(P) != transport._dist_key(Q)
+    assert transport._transport.cache_info()[:2] == ((2, 1) if solved else (0, 0))
+    cost, plan = wasserstein1(P, Q, return_plan=True)
+    assert cost == plan.cost == w
+    row = np.zeros(len(P.mass))
+    col = np.zeros(len(Q.mass))
+    for i, j, amount in plan.flows:
+        assert amount > 0
+        row[i] += amount
+        col[j] += amount
+    assert np.abs(row - P.mass).max() <= 1e-10
+    assert np.abs(col - Q.mass).max() <= 1e-10

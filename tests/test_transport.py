@@ -15,6 +15,7 @@ from curvprof import (
     estimate_dimension,
     shortest_path_matrix,
     to_distribution,
+    transport,
     wasserstein1,
 )
 from curvprof.profile import ProfileRecord
@@ -97,6 +98,12 @@ class TestWasserstein:
         Q = ProfileDistribution(support=np.array([[0.0, 2.0]]), mass=np.array([1.0]), grid=grid)
         assert wasserstein1(P, Q) == pytest.approx(1.0, abs=1e-12)
 
+    def test_integer_coordinates_are_read_as_values(self):
+        grid = GridSpec()
+        P = ProfileDistribution(support=np.array([[0, 1]]), mass=np.array([1]), grid=grid)
+        Q = ProfileDistribution(support=np.array([[0, 2]]), mass=np.array([1]), grid=grid)
+        assert wasserstein1(P, Q) == pytest.approx(1.0, abs=1e-12)
+
     def test_half_mass_split(self):
         grid = GridSpec()
         P = ProfileDistribution(support=np.array([[0.0, 1.0]]), mass=np.array([1.0]), grid=grid)
@@ -160,6 +167,22 @@ class TestWasserstein:
         assert np.abs(row - P.mass).max() <= 1e-10
         assert np.abs(col - Q.mass).max() <= 1e-10
         assert cost == plan.cost
+
+    def test_cached_solve_matches_cold_solve_in_either_order(self):
+        grid = GridSpec()
+        rng = np.random.default_rng(7)
+        P = random_distribution(rng, grid)
+        Q = random_distribution(rng, grid)
+        transport._transport.cache_clear()
+        cold_qp = wasserstein1(Q, P, return_plan=True)
+        transport._transport.cache_clear()
+        cold_pq = wasserstein1(P, Q, return_plan=True)
+        for a, b, cold in ((P, Q, cold_pq), (Q, P, cold_qp)) * 2:
+            assert wasserstein1(a, b, return_plan=True) == cold
+            assert wasserstein1(a, b) == cold[0]
+        info = transport._transport.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        assert cold_qp[1].flows == tuple((j, i, amount) for i, j, amount in cold_pq[1].flows)
 
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(6)
