@@ -20,10 +20,8 @@ from .generate import (
     watts_strogatz,
 )
 from .graphs import (
-    DensityScores,
     PointCloud,
     adaptive_graph,
-    density_scores,
     epsilon_graph,
     knn_graph,
     load_point_cloud,
@@ -61,7 +59,6 @@ from .profile import (
 from .transport import (
     GridSpec,
     ProfileDistribution,
-    TransportPlan,
     estimate_dimension,
     to_distribution,
     wasserstein1,

@@ -93,14 +93,6 @@ def load_input(path, fmt=None):
     return "points", PointCloud(coords=arr)
 
 
-def _format_from_args(args):
-    if args.format is not None:
-        return args.format
-    if getattr(args, "metric", "euclidean") == "precomputed":
-        return "distmatrix"
-    return None
-
-
 def _build_graph(data, args):
     """Apply the requested neighborhood rule to a point cloud or precomputed metric."""
     if args.kmin is not None or args.kmax is not None:
@@ -177,7 +169,7 @@ def _parse_cluster_sample(spec):
 
 
 def cmd_profile(args):
-    kind, data = load_input(args.input, _format_from_args(args))
+    kind, data = load_input(args.input, args.format)
     D = _metric_from_input(kind, data, args)
     cfg = _resolved_config(args, "profile")
     graph_params = data.params if isinstance(data, Graph) else None
@@ -227,7 +219,7 @@ def _write_gnuplot_script(path, summary_csv):
 
 
 def cmd_rho(args):
-    D = _metric_from_input(*load_input(args.input, _format_from_args(args)), args)
+    D = _metric_from_input(*load_input(args.input, args.format), args)
     v1, v2, v3 = args.vertices
     for v in (v1, v2, v3):
         if not (0 <= v < D.n):
@@ -253,7 +245,7 @@ def cmd_rho(args):
 
 
 def cmd_embed(args):
-    kind, data = load_input(args.input, _format_from_args(args))
+    kind, data = load_input(args.input, args.format)
     dims = _parse_dims(args.dims)
     cfg = _resolved_config(args, "embed")
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
@@ -293,13 +285,13 @@ def cmd_compare(args):
         grid = replace(grid, r_range=(0.0, max_r))
     da = to_distribution(pa, grid, normalize_r=not args.no_normalize_r)
     db = to_distribution(pb, grid, normalize_r=not args.no_normalize_r)
-    cost, plan = wasserstein1(da, db, return_plan=True)
+    cost, flows = wasserstein1(da, db, return_plan=True)
     payload = {
         "w1": cost,
         "grid": grid.to_dict(),
         "plan_summary": {
-            "n_flows": len(plan.flows),
-            "max_flow": max((f[2] for f in plan.flows), default=0.0),
+            "n_flows": len(flows),
+            "max_flow": max((f[2] for f in flows), default=0.0),
         },
         "config": _resolved_config(args, "compare"),
     }
@@ -325,7 +317,7 @@ def _external_embeddings(directory, dims, expected_n):
 
 
 def cmd_estimate_dim(args):
-    kind, data = load_input(args.input, _format_from_args(args))
+    kind, data = load_input(args.input, args.format)
     if kind == "points" and args.k is None and args.kmin is None and args.eps is None:
         args.kmin, args.kmax = 10, 15  # adaptive default for the original side
     D0 = _metric_from_input(kind, data, args)
@@ -434,8 +426,14 @@ def _write_edge_list(g: Graph, path):
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_graph_opts(p):
+def _add_input_opts(p):
     p.add_argument("--k", type=int, default=None, help="vanilla kNN neighbor count")
+    p.add_argument("--format", choices=("edgelist", "distmatrix", "points"), default=None,
+                   help="override input auto-detection")
+
+
+def _add_graph_opts(p):
+    _add_input_opts(p)
     p.add_argument("--kmin", type=int, default=None, help="adaptive rule minimum k")
     p.add_argument("--kmax", type=int, default=None, help="adaptive rule maximum k")
     p.add_argument("--eps", type=float, default=None, help="epsilon-ball radius")
@@ -445,18 +443,11 @@ def _add_graph_opts(p):
         default="asc",
         help="denser points get larger k (asc, default) or smaller (desc)",
     )
-    p.add_argument("--metric", choices=("euclidean", "precomputed"), default="euclidean",
-                   help="how to read square CSV inputs when building graphs")
-    p.add_argument("--format", choices=("edgelist", "distmatrix", "points"), default=None,
-                   help="override input auto-detection")
 
 
 def _add_profile_opts(p):
     p.add_argument("-m", type=float, default=0.1, help="per-scale sample fraction (default 0.1)")
     p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
-    p.add_argument("--side-bin", type=float, default=None,
-                   help="side bin width; weighted metrics only (default diameter/50)")
-    p.add_argument("--median", action="store_true", help="report per-scale median instead of mean")
     p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", os.cpu_count() or 1))
 
 
@@ -468,6 +459,9 @@ def build_parser():
     p.add_argument("input")
     _add_graph_opts(p)
     _add_profile_opts(p)
+    p.add_argument("--side-bin", type=float, default=None,
+                   help="side bin width; weighted metrics only (default diameter/50)")
+    p.add_argument("--median", action="store_true", help="report per-scale median instead of mean")
     p.add_argument("--cluster-sample", default=None, metavar="K,N",
                    help="hybrid variant: restrict triples to N sampled vertices per each of K clusters (untuned)")
     p.add_argument("--out", default=None, help="output prefix (default: input stem)")
@@ -484,7 +478,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--method", choices=("mds", "isomap"), default="mds")
     p.add_argument("--dims", required=True, help="e.g. '2,3' or '1-8'")
-    _add_graph_opts(p)
+    _add_input_opts(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_embed)
 
@@ -510,6 +504,9 @@ def build_parser():
     p.add_argument("--grid", default="50x50")
     _add_graph_opts(p)
     _add_profile_opts(p)
+    p.add_argument("--side-bin", type=float, default=None,
+                   help="side bin width of the input's profile; weighted metrics only (default "
+                        "diameter/50); embedded profiles always use their own diameter/50")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate_dim)
 

@@ -38,7 +38,8 @@ def classical_mds(D, d) -> EmbeddingResult:
     Double-centers the squared distances, takes the top-d eigenpairs of the
     resulting Gram matrix, clamps negative eigenvalues to zero and fixes
     each axis sign so its largest-magnitude coordinate is positive. ``D``
-    is a DistanceMatrix, a square array, or a PointCloud (Euclidean metric).
+    is a DistanceMatrix or a PointCloud (Euclidean metric); any other type
+    is an InputError.
     """
     arr = _pairwise(D)
     n = arr.shape[0]
@@ -82,8 +83,8 @@ def _leading(res: EmbeddingResult, d) -> EmbeddingResult:
 def isomap(data, k, d) -> EmbeddingResult:
     """Geodesic MDS: kNN-graph shortest paths fed into classical MDS.
 
-    Accepts a PointCloud (or precomputed square metric) to build the kNN
-    graph from, or an already-built Graph. A disconnected graph is reduced
+    Accepts a PointCloud or a DistanceMatrix to build the kNN graph from,
+    or an already-built Graph. A disconnected graph is reduced
     to its largest component with a warning.
     """
     if isinstance(data, Graph):

@@ -50,37 +50,20 @@ class PointCloud:
         return self.coords.shape[1]
 
 
-@dataclass(frozen=True)
-class DensityScores:
-    """Per-point density estimates and the neighbor counts derived from them."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-    k_per_point: np.ndarray
-
-
 def _pairwise(data):
-    """Dense pairwise distances of a PointCloud, DistanceMatrix or square array.
+    """Dense pairwise distances of a PointCloud or a DistanceMatrix.
 
-    The one normalizer behind neighborhood graphs and MDS; a metric with
-    disconnected pairs (sentinel entries) is rejected by both.
+    The one normalizer behind neighborhood graphs and MDS, and the one
+    place that checks their input: any other type, or a metric with
+    disconnected pairs (sentinel entries), is an InputError.
     """
     if isinstance(data, PointCloud):
         return squareform(pdist(data.coords))
-    if isinstance(data, DistanceMatrix):
-        if data.sentinel is not None:
-            raise InputError("metric has disconnected pairs: use one connected component")
-        return data.d
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("precomputed input must be a square distance matrix")
-    return arr
-
-
-def _n_points(data):
-    if isinstance(data, (PointCloud, DistanceMatrix)):
-        return data.n
-    return np.asarray(data).shape[0]
+    if not isinstance(data, DistanceMatrix):
+        raise InputError(f"expected a PointCloud or a DistanceMatrix, got {type(data).__name__}")
+    if data.sentinel is not None:
+        raise InputError("metric has disconnected pairs: use one connected component")
+    return data.d
 
 
 def _kdtree(data):
@@ -96,13 +79,14 @@ def _neighbor_lists(data, kmax):
     Rows are sorted by (distance, index) so that rank ties always resolve
     to the smaller vertex id, independent of the query backend.
     """
-    n = _n_points(data)
+    # a point cloud's rows are computed below; a metric's come from _pairwise
+    full = None if isinstance(data, PointCloud) else _pairwise(data)
+    n = data.n
     if kmax >= n:
         raise InputError(f"k={kmax} must be smaller than the number of points n={n}")
     tree = _kdtree(data)
     if tree is None:
         # dense rows a block at a time: the point itself sorts last as +inf
-        full = None if isinstance(data, PointCloud) else _pairwise(data)
         idx = np.empty((n, kmax), dtype=np.int64)
         dist = np.empty((n, kmax))
         step = max(1, (1 << 18) // n)  # about 2 MB of float64 per block
@@ -127,7 +111,7 @@ def knn_graph(data, k) -> Graph:
         raise InputError("k must be >= 1")
     idx, dist = _neighbor_lists(data, k)
     return _graph_from_neighbor_selection(
-        idx, dist, np.full(_n_points(data), k), params={"rule": "knn", "k": int(k)}
+        idx, dist, np.full(data.n, k), params={"rule": "knn", "k": int(k)}
     )
 
 
@@ -146,24 +130,19 @@ def epsilon_graph(data, eps) -> Graph:
         # one dot product per pair, the same sum np.linalg.norm takes
         w = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
     return Graph.from_edges(
-        _n_points(data), np.column_stack((i, j, w)), params={"rule": "epsilon", "eps": float(eps)}
+        data.n, np.column_stack((i, j, w)), params={"rule": "epsilon", "eps": float(eps)}
     )
 
 
-def density_scores(data, k_min, k_max, direction="asc") -> DensityScores:
-    """Local density per point and the interpolated neighbor counts.
-
-    Density is the inverse of the mean distance to the k_max nearest
-    neighbors; scores are min-max normalized (a flat 0.5 when every point
-    has the same density). ``direction`` controls whether denser points get
-    k nearer k_max ("asc", default) or nearer k_min ("desc").
-    """
-    _validate_k_range(k_min, k_max, _n_points(data), direction)
-    _, dist = _neighbor_lists(data, k_max)
-    return _scores(dist, k_min, k_max, direction)
-
-
 def _scores(dist, k_min, k_max, direction):
+    """Neighbor count of every point, interpolated by its density score.
+
+    ``dist`` holds each point's k_max nearest-neighbor distances. Density is
+    the inverse of their mean (duplicate points get the largest finite
+    density); scores are min-max normalized (a flat 0.5 when every point
+    has the same density). ``direction`` controls whether denser points get
+    k nearer k_max ("asc") or nearer k_min ("desc").
+    """
     mean_dist = dist.mean(axis=1)
     with np.errstate(divide="ignore"):
         raw = 1.0 / mean_dist
@@ -179,18 +158,20 @@ def _scores(dist, k_min, k_max, direction):
     else:
         normalized = np.full_like(raw, 0.5)
     score = normalized if direction == "asc" else 1.0 - normalized
-    k_per_point = np.rint(k_min + score * (k_max - k_min)).astype(np.int64)
-    return DensityScores(raw=raw, normalized=normalized, k_per_point=k_per_point)
+    return np.rint(k_min + score * (k_max - k_min)).astype(np.int64)
 
 
 def adaptive_graph(data, k_min, k_max, direction="asc") -> Graph:
     """Density-adaptive k-NN graph: per-point k interpolated by density score."""
-    _validate_k_range(k_min, k_max, _n_points(data), direction)
+    if not (1 <= k_min <= k_max):
+        raise InputError(f"need 1 <= k_min <= k_max, got ({k_min}, {k_max})")
+    if direction not in ("asc", "desc"):
+        raise InputError("direction must be 'asc' or 'desc'")
     idx, dist = _neighbor_lists(data, k_max)
     return _graph_from_neighbor_selection(
         idx,
         dist,
-        _scores(dist, k_min, k_max, direction).k_per_point,
+        _scores(dist, k_min, k_max, direction),
         params={
             "rule": "adaptive",
             "k_min": int(k_min),
@@ -198,15 +179,6 @@ def adaptive_graph(data, k_min, k_max, direction="asc") -> Graph:
             "direction": direction,
         },
     )
-
-
-def _validate_k_range(k_min, k_max, n, direction):
-    if not (1 <= k_min <= k_max):
-        raise InputError(f"need 1 <= k_min <= k_max, got ({k_min}, {k_max})")
-    if k_max >= n:
-        raise InputError(f"k_max={k_max} must be smaller than the number of points n={n}")
-    if direction not in ("asc", "desc"):
-        raise InputError("direction must be 'asc' or 'desc'")
 
 
 def _graph_from_neighbor_selection(idx, dist, k_per_point, params):

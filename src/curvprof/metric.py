@@ -53,12 +53,13 @@ class Graph:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_edges(cls, n, edges, params=None, default_weight=1.0):
+    def from_edges(cls, n, edges, params=None):
         """Normalize and validate edges into a Graph.
 
         Accepts (i, j) or (i, j, w) items, or an (m, 2) / (m, 3) array of
-        them; orients every edge as i < j, rejects self-loops, duplicates
-        and negative weights. The first offending edge is reported.
+        them; (i, j) items weigh 1. Orients every edge as i < j, rejects
+        self-loops, duplicates and negative or non-finite weights. The
+        first offending edge is reported.
         """
         if n < 1:
             raise InputError("graph needs at least one vertex")
@@ -69,11 +70,11 @@ class Graph:
             raise InputError("edges must be (i, j) or (i, j, w) items")
         a, b = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
         i, j = np.minimum(a, b), np.maximum(a, b)
-        w = arr[:, 2] if arr.shape[1] == 3 else np.full(len(arr), float(default_weight))
+        w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr))
         order = np.lexsort((j, i))  # stable: repeats keep their input order
         dup = np.zeros(len(arr), dtype=bool)
         dup[order[1:]] = (i[order[1:]] == i[order[:-1]]) & (j[order[1:]] == j[order[:-1]])
-        bad = np.flatnonzero((i == j) | (i < 0) | (j >= n) | dup | (w < 0))
+        bad = np.flatnonzero((i == j) | (i < 0) | (j >= n) | dup | ~np.isfinite(w) | (w < 0))
         if bad.size:
             k = bad[0]
             lo, hi = int(i[k]), int(j[k])
@@ -83,7 +84,8 @@ class Graph:
                 raise InputError(f"edge ({lo},{hi}) out of range for n={n}")
             if dup[k]:
                 raise InputError(f"duplicate edge ({lo},{hi})")
-            raise InputError(f"negative edge weight {float(w[k])} on ({lo},{hi})")
+            kind = "non-finite" if not np.isfinite(w[k]) else "negative"
+            raise InputError(f"{kind} edge weight {float(w[k])} on ({lo},{hi})")
         return cls(n=n, i=i[order], j=j[order], w=w[order], params=params)
 
     @property
@@ -214,11 +216,6 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
         raise InputError("graph has zero vertices")
     if np.any(graph.w < 0):
         raise InputError("negative edge weights are not supported")
-    n = graph.n
-    if graph.i.size == 0:
-        d = np.full((n, n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return _finalize_distance_matrix(d)
     d = shortest_path(_adjacency(graph), method="auto", directed=False, unweighted=graph.is_unweighted)
     return _finalize_distance_matrix(d)
 
@@ -260,21 +257,21 @@ def gromov_products(d12, d13, d23) -> GromovProducts:
     return GromovProducts(r1=r1, r2=r2, r3=r3)
 
 
-def lambda_measure(d12, d13, d23, rel_tol=EXACT_SIDE_RTOL) -> TripleShape:
+def lambda_measure(d12, d13, d23) -> TripleShape:
     """Largest alpha with alpha*d(x_i,x_j) <= d(x_i,x_k) + d(x_j,x_k) for all pairs.
 
     Closed form: the binding constraint is the longest side, so
     lam = (perimeter - d_max) / d_max. Ranges over [1, 2] on metric triples;
-    1 means collinear, 2 equilateral.
+    1 means collinear, 2 equilateral. Both flags use the relative
+    tolerance ``EXACT_SIDE_RTOL``.
     """
     sides = (float(d12), float(d13), float(d23))
     if min(sides) <= 0:
         raise InputError("degenerate triple: zero side length (coincident points)")
     d_max = max(sides)
     lam = (sum(sides) - d_max) / d_max
-    tol = rel_tol * d_max
-    is_equilateral = (d_max - min(sides)) <= tol
-    is_degenerate = lam <= 1.0 + rel_tol
+    is_equilateral = (d_max - min(sides)) <= EXACT_SIDE_RTOL * d_max
+    is_degenerate = lam <= 1.0 + EXACT_SIDE_RTOL
     return TripleShape(lam=lam, is_degenerate=is_degenerate, is_equilateral=is_equilateral)
 
 

@@ -24,15 +24,17 @@ from .profile import CurvatureProfile
 
 MASS_SUM_TOL = 1e-12
 
+# rho always lies in [1, 2], so every grid spans that rho axis
+RHO_RANGE = (1.0, 2.0)
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform node lattice over the (r_norm, rho) rectangle."""
+    """Uniform node lattice over the (r_norm, rho) rectangle; rho spans ``RHO_RANGE``."""
 
     nr: int = 50
     nrho: int = 50
     r_range: tuple = (0.0, 1.0)
-    rho_range: tuple = (1.0, 2.0)
 
     def __post_init__(self):
         if self.nr < 1 or self.nrho < 1:
@@ -40,7 +42,7 @@ class GridSpec:
 
     def nodes(self):
         r_axis = np.linspace(self.r_range[0], self.r_range[1], self.nr)
-        rho_axis = np.linspace(self.rho_range[0], self.rho_range[1], self.nrho)
+        rho_axis = np.linspace(RHO_RANGE[0], RHO_RANGE[1], self.nrho)
         rr, pp = np.meshgrid(r_axis, rho_axis, indexing="ij")
         return np.column_stack([rr.ravel(), pp.ravel()])
 
@@ -49,7 +51,7 @@ class GridSpec:
             "nr": self.nr,
             "nrho": self.nrho,
             "r_range": list(self.r_range),
-            "rho_range": list(self.rho_range),
+            "rho_range": list(RHO_RANGE),
         }
 
 
@@ -73,14 +75,6 @@ class ProfileDistribution:
             raise InputError(f"masses sum to {self.mass.sum()}, not 1")
         self.support.setflags(write=False)
         self.mass.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Nonzero transport flows (source index, target index, amount)."""
-
-    flows: tuple
-    cost: float
 
 
 def to_distribution(profile: CurvatureProfile, grid=None, normalize_r=True) -> ProfileDistribution:
@@ -161,15 +155,16 @@ def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=Fal
     Euclidean ground metric on the (r_norm, rho) coordinates. The pair is
     put into a canonical order before solving, so the result is exactly
     symmetric and a pair seen recently, in either order, is not solved
-    again; identical inputs short-circuit to zero.
+    again; identical inputs short-circuit to zero. With ``return_plan`` the
+    result is ``(cost, flows)``: the nonzero flows as (index in P, index in
+    Q, amount) tuples.
     """
     if P.grid != Q.grid:
         raise InputError("distributions live on different grids")
     key_p, key_q = _dist_key(P), _dist_key(Q)
     if key_p == key_q:
         if return_plan:
-            flows = tuple((i, i, float(m)) for i, m in enumerate(P.mass))
-            return 0.0, TransportPlan(flows=flows, cost=0.0)
+            return 0.0, tuple((i, i, float(m)) for i, m in enumerate(P.mass))
         return 0.0
     swapped = key_q < key_p
     cost, flows = _transport(key_q, key_p) if swapped else _transport(key_p, key_q)
@@ -177,15 +172,15 @@ def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=Fal
         return cost
     if swapped:
         flows = tuple((j, i, amount) for i, j, amount in flows)
-    return cost, TransportPlan(flows=flows, cost=cost)
+    return cost, flows
 
 
-def estimate_dimension(original: CurvatureProfile, embedded, grid=None, normalize_r=True, on_empty="error"):
+def estimate_dimension(original: CurvatureProfile, embedded, grid=None, on_empty="error"):
     """W1 of every candidate embedding against the original profile.
 
-    ``embedded`` maps target dimension -> profile. Returns
-    (d_best, [(d, w1), ...]) with d ascending; d_best is the argmin,
-    smallest dimension on exact ties.
+    ``embedded`` maps target dimension -> profile; every profile's r is
+    divided by its own largest r. Returns (d_best, [(d, w1), ...]) with d
+    ascending; d_best is the argmin, smallest dimension on exact ties.
 
     An empty embedded profile raises with the offending dimension named,
     unless ``on_empty="inf"``: an embedding with no equilateral structure at
@@ -198,13 +193,13 @@ def estimate_dimension(original: CurvatureProfile, embedded, grid=None, normaliz
         raise InputError("on_empty must be 'error' or 'inf'")
     grid = grid or GridSpec()
     try:
-        P0 = to_distribution(original, grid, normalize_r=normalize_r)
+        P0 = to_distribution(original, grid)
     except EmptyResultError as exc:
         raise EmptyResultError(f"original profile is empty: {exc}") from exc
     curve = []
     for d in sorted(embedded):
         try:
-            Pd = to_distribution(embedded[d], grid, normalize_r=normalize_r)
+            Pd = to_distribution(embedded[d], grid)
         except EmptyResultError as exc:
             if on_empty == "inf":
                 curve.append((int(d), float("inf")))

@@ -140,6 +140,17 @@ class TestRhoCommand:
         inp.write_text("0 1\n2 3\n")
         assert cli.main(["rho", str(inp), "0", "1", "2"]) == 2
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [["profile", "{}", "-m", "1.0"], ["rho", "{}", "0", "1", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, argv, weight):
+        # triangle with a tail; a NaN or inf edge used to be dropped silently
+        inp = tmp_path / "t.edges"
+        inp.write_text(f"0 1 {weight}\n1 2\n0 2\n2 3\n")
+        assert cli.main([a.format(inp) for a in argv]) == 2
+        assert f"non-finite edge weight {weight} on (0,1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [inp]
+
     def test_distance_matrix_honours_graph_rule(self, tmp_path, capsys):
         # a 5-point line metric: at eps 0.5 the epsilon graph has no edges
         inp = tmp_path / "line.csv"
@@ -465,15 +476,47 @@ class TestComputedOnce:
 
 
 class TestPrecomputedMetric:
-    def test_metric_flag_routes_square_csv(self, tmp_path):
-        # 4-point metric fed to the kNN builder as precomputed distances
+    def test_metric_flag_routes_square_csv(self, tmp_path, capsys):
+        # 4-point line metric read as precomputed distances, then fed to the kNN builder
         d = np.array(
             [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]]
         )
         inp = tmp_path / "d.csv"
         np.savetxt(inp, d, delimiter=",")
-        rc = cli.main(["rho", str(inp), "0", "1", "2", "--metric", "precomputed"])
+        rc = cli.main(["rho", str(inp), "0", "1", "2", "--format", "distmatrix", "--k", "1"])
         assert rc == 0
+        assert "d(0,1) = 1   d(0,2) = 2   d(1,2) = 1" in capsys.readouterr().out
+
+
+class TestRemovedOptions:
+    """Options that changed no output are gone: argparse rejects them before any file is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "{c6}", "-m", "1.0", "--metric", "precomputed"],
+            ["embed", "{pts}", "--dims", "2", "--kmin", "5", "--kmax", "8"],
+            ["embed", "{pts}", "--dims", "2", "--eps", "0.3"],
+            ["estimate-dim", "{pts}", "--dims", "1-2", "--kmin", "5", "--kmax", "8", "--median"],
+        ],
+        ids=["profile-metric", "embed-kmin-kmax", "embed-eps", "estimate-dim-median"],
+    )
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        write_cycle(tmp_path / "c6.edges")
+        np.savetxt(tmp_path / "pts.csv", plane_sample(30, seed=2).coords, delimiter=",")
+        before = sorted(tmp_path.iterdir())
+        args = [a.format(c6=tmp_path / "c6.edges", pts=tmp_path / "pts.csv") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_config_records_only_the_options_read(self, tmp_path):
+        np.savetxt(tmp_path / "pts.csv", plane_sample(30, seed=2).coords, delimiter=",")
+        assert cli.main(["embed", str(tmp_path / "pts.csv"), "--dims", "2", "--out", str(tmp_path / "e")]) == 0
+        cfg = json.loads((tmp_path / "e.embed.json").read_text())["config"]
+        assert sorted(cfg) == ["command", "dims", "format", "input", "k", "method", "out"]
 
 
 class TestParsing:

@@ -66,6 +66,10 @@ class TestClassicalMDS:
         with pytest.raises(InputError):
             classical_mds(D, 2)
 
+    def test_raw_array_rejected(self):
+        with pytest.raises(InputError, match="PointCloud or a DistanceMatrix, got ndarray"):
+            classical_mds(1.0 - np.eye(3), 2)
+
 
 class TestIsomap:
     def test_arc_lengths_recovered(self):

@@ -5,11 +5,12 @@ from curvprof import (
     InputError,
     PointCloud,
     adaptive_graph,
-    density_scores,
+    distance_matrix_from_array,
     epsilon_graph,
     knn_graph,
     load_point_cloud,
 )
+from curvprof.graphs import _neighbor_lists, _scores
 
 
 def line_cloud():
@@ -18,6 +19,18 @@ def line_cloud():
 
 def square_corners():
     return PointCloud(coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+
+def k_per_point(cloud, k_min, k_max, direction="asc"):
+    """The per-point neighbor counts adaptive_graph selects with."""
+    return _scores(_neighbor_lists(cloud, k_max)[1], k_min, k_max, direction)
+
+
+def two_blobs():
+    rng = np.random.default_rng(2)
+    dense = rng.normal(0, 0.05, (25, 2))
+    sparse = rng.normal(10, 2.0, (25, 2))
+    return PointCloud(coords=np.vstack([dense, sparse]))
 
 
 class TestKnnGraph:
@@ -41,9 +54,16 @@ class TestKnnGraph:
             knn_graph(line_cloud(), 3)
 
     def test_precomputed_matrix_accepted(self):
-        d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+        d = distance_matrix_from_array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
         g = knn_graph(d, 1)
         assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+
+    @pytest.mark.parametrize("build", [lambda x: knn_graph(x, 1), lambda x: epsilon_graph(x, 1.5),
+                                       lambda x: adaptive_graph(x, 1, 2)], ids=["knn", "eps", "adaptive"])
+    def test_raw_array_rejected(self, build):
+        d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+        with pytest.raises(InputError, match="PointCloud or a DistanceMatrix, got ndarray"):
+            build(d)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -76,36 +96,29 @@ class TestAdaptiveGraph:
         assert adaptive_graph(cloud, 3, 3).edges == knn_graph(cloud, 3).edges
 
     def test_uniform_density_uses_midpoint_k(self):
+        # evenly spaced line: the inner points share one density, the ends are sparser
         cloud = PointCloud(coords=np.arange(8, dtype=float)[:, None])
-        scores = density_scores(cloud, 1, 3)
-        inner = scores.k_per_point[2:-2]
-        assert np.all(scores.normalized[2:-2] == scores.normalized[2])
-        assert np.all(inner == inner[0])
+        k = k_per_point(cloud, 1, 3)
+        assert np.all(k[2:-2] == 3)
+        assert k[0] == k[-1] == 1
 
     def test_degenerate_normalization_constant_half(self):
-        # 4 corners of a square: all neighbor statistics identical
-        scores = density_scores(square_corners(), 1, 3)
-        assert np.all(scores.normalized == 0.5)
-        assert np.all(scores.k_per_point == 2)
+        # 4 corners of a square: all neighbor statistics identical, so every score is 0.5
+        assert k_per_point(square_corners(), 1, 3).tolist() == [2, 2, 2, 2]
+        assert k_per_point(square_corners(), 1, 3, direction="desc").tolist() == [2, 2, 2, 2]
 
     def test_density_monotone_in_k(self):
-        rng = np.random.default_rng(2)
-        dense = rng.normal(0, 0.05, (25, 2))
-        sparse = rng.normal(10, 2.0, (25, 2))
-        cloud = PointCloud(coords=np.vstack([dense, sparse]))
-        scores = density_scores(cloud, 2, 8)
-        order = np.argsort(scores.raw)
-        assert np.all(np.diff(scores.k_per_point[order]) >= 0)
-        assert scores.k_per_point[:25].mean() > scores.k_per_point[25:].mean()
+        cloud = two_blobs()
+        density = 1.0 / _neighbor_lists(cloud, 8)[1].mean(axis=1)
+        k = k_per_point(cloud, 2, 8)
+        assert np.all(np.diff(k[np.argsort(density)]) >= 0)
+        assert k[:25].mean() > k[25:].mean()
 
     def test_direction_flag_flips(self):
-        rng = np.random.default_rng(2)
-        dense = rng.normal(0, 0.05, (25, 2))
-        sparse = rng.normal(10, 2.0, (25, 2))
-        cloud = PointCloud(coords=np.vstack([dense, sparse]))
-        asc = density_scores(cloud, 2, 8, direction="asc")
-        desc = density_scores(cloud, 2, 8, direction="desc")
-        assert asc.k_per_point[:25].mean() > desc.k_per_point[:25].mean()
+        asc = k_per_point(two_blobs(), 2, 8, direction="asc")
+        desc = k_per_point(two_blobs(), 2, 8, direction="desc")
+        assert asc[:25].mean() > desc[:25].mean()
+        assert np.all(asc + desc == 2 + 8)
 
     def test_min_degree_at_least_kmin(self):
         rng = np.random.default_rng(3)
@@ -121,9 +134,11 @@ class TestAdaptiveGraph:
         coords = np.vstack([np.zeros((4, 2)), np.random.default_rng(0).random((6, 2))])
         cloud = PointCloud(coords=coords)
         with caplog.at_level("WARNING"):
-            scores = density_scores(cloud, 2, 3)
-        assert np.isfinite(scores.raw).all()
-        assert scores.raw[0] == scores.raw.max()
+            k = k_per_point(cloud, 2, 3)
+        assert "4 duplicate point(s): density set to the global maximum" in caplog.text
+        # the duplicates count as the densest points
+        assert np.all(k[:4] == 3)
+        assert k.min() >= 2
 
     def test_kmax_too_large_rejected(self):
         with pytest.raises(InputError):

@@ -44,6 +44,26 @@ class TestShortestPaths:
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # the first bad edge is named, after valid ones and before later bad ones
+        with pytest.raises(InputError, match=rf"non-finite edge weight {w} on \(1,2\)"):
+            Graph.from_edges(4, [(0, 1, 1.0), (2, 1, w), (2, 3, -1.0)])
+
+    def test_edgeless_graph_goes_through_the_one_solver(self, monkeypatch):
+        import curvprof.metric as metric_mod
+
+        calls = []
+        real = metric_mod.shortest_path
+        monkeypatch.setattr(metric_mod, "shortest_path", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        D = shortest_path_matrix(Graph.from_edges(3, []))
+        assert len(calls) == 1
+        assert D.d.tolist() == [[0.0, 100.0, 100.0], [100.0, 0.0, 100.0], [100.0, 100.0, 0.0]]
+        assert D.diameter == 0.0
+        assert D.sentinel == 100.0
+        assert D.integer_valued
+        assert D.d.dtype == np.float64 and D.d.flags.c_contiguous
+
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for trial in range(12):

@@ -157,16 +157,18 @@ class TestWasserstein:
         rng = np.random.default_rng(5)
         P = random_distribution(rng, grid)
         Q = random_distribution(rng, grid)
-        cost, plan = wasserstein1(P, Q, return_plan=True)
+        cost, flows = wasserstein1(P, Q, return_plan=True)
         row = np.zeros(len(P.mass))
         col = np.zeros(len(Q.mass))
-        for i, j, amt in plan.flows:
+        for i, j, amt in flows:
             assert amt >= 0
             row[i] += amt
             col[j] += amt
         assert np.abs(row - P.mass).max() <= 1e-10
         assert np.abs(col - Q.mass).max() <= 1e-10
-        assert cost == plan.cost
+        assert cost == wasserstein1(P, Q)
+        moved = sum(amt * np.linalg.norm(P.support[i] - Q.support[j]) for i, j, amt in flows)
+        assert cost == pytest.approx(moved, abs=1e-12)
 
     def test_cached_solve_matches_cold_solve_in_either_order(self):
         grid = GridSpec()
@@ -182,7 +184,7 @@ class TestWasserstein:
             assert wasserstein1(a, b) == cold[0]
         info = transport._transport.cache_info()
         assert (info.misses, info.hits) == (1, 8)
-        assert cold_qp[1].flows == tuple((j, i, amount) for i, j, amount in cold_pq[1].flows)
+        assert cold_qp[1] == tuple((j, i, amount) for i, j, amount in cold_pq[1])
 
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(6)
