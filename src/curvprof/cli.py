@@ -107,8 +107,12 @@ def _build_graph(data, args):
 
 
 def _metric_from_input(kind, data, args):
-    """Route any input to the DistanceMatrix that profile and rho run on."""
-    if kind == "dist" and all(v is None for v in (args.k, args.kmin, args.kmax, args.eps)):
+    """Route any input to the DistanceMatrix that profile and rho run on (an edge list takes no graph rule)."""
+    given = [f"--{name}" for name in ("k", "kmin", "kmax", "eps") if getattr(args, name) is not None]
+    if kind == "graph" and given:
+        raise InputError(f"{', '.join(given)} applies to point clouds and metrics only; "
+                         "this input is an edge list")
+    if kind == "dist" and not given:
         return data
     return shortest_path_matrix(data if kind == "graph" else _build_graph(data, args))
 
@@ -119,11 +123,8 @@ def _resolved_config(args, command):
     skip = {"func", "workers"}
     cfg = {"command": command}
     for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        if isinstance(val, Path):
-            val = str(val)
-        cfg[key] = val
+        if key not in skip and not callable(val):
+            cfg[key] = val
     return cfg
 
 

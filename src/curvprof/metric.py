@@ -125,12 +125,6 @@ class DistanceMatrix:
     def n(self):
         return self.d.shape[0]
 
-    def finite_mask(self):
-        """Boolean matrix of true (non-sentinel) entries."""
-        if self.sentinel is None:
-            return np.ones_like(self.d, dtype=bool)
-        return self.d != self.sentinel
-
     def is_connected_triple(self, v1, v2, v3):
         if self.sentinel is None:
             return True
@@ -157,11 +151,6 @@ class GromovProducts:
     r1: float
     r2: float
     r3: float
-
-    @property
-    def all_nonnegative(self):
-        # fails exactly when the three distances violate the triangle inequality
-        return self.r1 >= 0 and self.r2 >= 0 and self.r3 >= 0
 
     def as_array(self):
         return np.array([self.r1, self.r2, self.r3])

@@ -33,6 +33,7 @@ RHO_CIRCLE = 2.0
 _RHO_RANGE_SLACK = 1e-9
 
 DEFAULT_SIDE_BINS = 50
+_EDGE_CHUNK = 8192  # side edges per step of the triple search: bounds its two gathers
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,12 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
 
     ``A`` is the scale's side graph: an n x n boolean matrix whose true
     entries are the vertex pairs at this side (``_side_keys(D, h) == k``
-    in :func:`build_profile`); its rows are read as given. Every vertex
-    contained in at least one triangle of ``A`` is a candidate; ceil(m * N)
-    candidates are drawn uniformly (all of them if fewer). A sampled vertex
-    takes its first side partner that lies on a triangle with it, then the
-    first common partner of the two: the first triple of a lexicographic
+    in :func:`build_profile`); its rows are read as given and packed into
+    bitsets. Every vertex on at least one triangle of ``A`` is a candidate:
+    one AND of rows s and j tests a side edge (s, j) for a common partner.
+    ceil(m * N) candidates are drawn uniformly (all of them if fewer). A
+    sampled vertex takes its first side partner on a triangle with it, then
+    the first common partner of the two: the first triple of a lexicographic
     pair scan. Duplicated vertex sets are merged, so the result has at most
     the sample size many triples: a sorted list of ``(a, b, c)`` vertex-id
     tuples with ``a < b < c``.
@@ -140,31 +142,42 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
         raise InputError("sample fraction m must lie in (0, 1]")
     if A.shape != D.d.shape:
         raise InputError(f"side graph must be {D.n} x {D.n}, got {A.shape}")
-    # a vertex can only close a triangle if it has >= 2 same-side partners
-    active = np.flatnonzero(A.sum(axis=1) >= 2)
-    if active.size < 3:
+    # side edges (s, j), row-major; only an active vertex (>= 2 partners) closes a triangle
+    j = np.flatnonzero(A)
+    s = j // D.n
+    j %= D.n
+    active = np.bincount(s, minlength=D.n) >= 2
+    if np.count_nonzero(active) < 3:
         return []
-    As = A[np.ix_(active, active)]
-    Af = As.astype(np.float32)
-    # E[s, j]: j is a side partner of s and the two share a side partner k,
-    # so s, j, k close a triangle. Rows with an entry are the candidates;
-    # a row's first entry and its first common partner are the pick. Af.T
-    # compares rows, as the pick does: a weighted side graph can be
-    # asymmetric by an ulp, and only the row form makes every pick close.
-    # The transpose is copied so that numpy calls gemm, not syrk: OpenBLAS
-    # syrk spun its threads on small matrices (2-vCPU VM: +40 % CPU).
-    E = (Af @ np.ascontiguousarray(Af.T) > 0) & As
-    rows = np.flatnonzero(E.any(axis=1))
-    if rows.size == 0:
+    # rows[v]: an active v's active partners, bit c for vertex c, padded to
+    # whole little-endian uint64 words. Rows are read as given: a weighted side
+    # graph can be asymmetric by an ulp, and only rows make every pick close.
+    width = -(-D.n // 8)
+    rows = np.zeros((D.n, -(-width // 8) * 8), dtype=np.uint8)
+    rows[:, :width] = np.packbits(A, axis=1, bitorder="little") & np.packbits(active, bitorder="little")
+    rows[~active] = 0
+    # edge (s, j) hits if s and j share an active partner k; word-major
+    # chunks keep the gathers small and the OR over words contiguous
+    words = np.ascontiguousarray(rows.view("<u8").T)
+    hit = np.empty(s.size, dtype=bool)
+    for lo in range(0, s.size, _EDGE_CHUNK):
+        common = words.take(s[lo : lo + _EDGE_CHUNK], axis=1)
+        common &= words.take(j[lo : lo + _EDGE_CHUNK], axis=1)
+        common.any(axis=0, out=hit[lo : lo + _EDGE_CHUNK])
+    # a row's first hit is its pick (s, j); the rows with a hit are the candidates
+    first = np.flatnonzero(hit)
+    if first.size == 0:
         return []
+    row = s[first]
+    first = first[np.concatenate(([True], row[1:] != row[:-1]))]
 
     n_sample = math.ceil(m * D.n)
-    if rows.size > n_sample:
-        rng = np.random.default_rng(seed)
-        rows = rng.choice(rows, size=n_sample, replace=False)
-    j = E[rows].argmax(axis=1)
-    k = (As[rows] & As[j]).argmax(axis=1)
-    picks = np.sort(active[np.column_stack((rows, j, k))], axis=1)
+    if first.size > n_sample:
+        first = np.random.default_rng(seed).choice(first, size=n_sample, replace=False)
+    s, j = s[first], j[first]
+    # k, the first common partner, is the lowest set bit of the two rows' AND
+    k = np.unpackbits(rows[s] & rows[j], axis=1, bitorder="little").argmax(axis=1)
+    picks = np.sort(np.column_stack((s, j, k)), axis=1)
     return sorted(set(map(tuple, picks.tolist())))
 
 
@@ -359,22 +372,19 @@ def load_profile_json(path) -> CurvatureProfile:
     return profile_from_dict(data)
 
 
+def _write_csv(path, header_comment, columns, lines):
+    with open(path, "w") as fh:
+        fh.write(f"# {header_comment}\n{columns}\n" if header_comment else f"{columns}\n")
+        fh.writelines(lines)
+
+
 def write_long_csv(p: CurvatureProfile, path, header_comment=None):
     """One row per triangle: columns r,rho."""
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("r,rho\n")
-        for rec in p.records:
-            for rho in rec.rho_values:
-                fh.write(f"{rec.r!r},{rho!r}\n")
+    rows = (f"{rec.r!r},{rho!r}\n" for rec in p.records for rho in rec.rho_values)
+    _write_csv(path, header_comment, "r,rho", rows)
 
 
 def write_summary_csv(p: CurvatureProfile, path, header_comment=None):
     """One row per scale: columns r,count,mean_rho."""
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("r,count,mean_rho\n")
-        for rec in p.records:
-            fh.write(f"{rec.r!r},{rec.count},{rec.mean_rho!r}\n")
+    rows = (f"{rec.r!r},{rec.count},{rec.mean_rho!r}\n" for rec in p.records)
+    _write_csv(path, header_comment, "r,count,mean_rho", rows)

@@ -11,6 +11,11 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 
+def finite_mask(D):
+    """Boolean matrix of the true (non-sentinel) entries of a DistanceMatrix."""
+    return np.ones_like(D.d, dtype=bool) if D.sentinel is None else D.d != D.sentinel
+
+
 def floyd_warshall(n, edges):
     """Naive all-pairs shortest paths; edges are (i, j, w)."""
     d = np.full((n, n), np.inf)
@@ -68,7 +73,7 @@ def rho_ball_growth(D, a, b, c, step=None):
     r = r_in
     ladder = None
     if step is None:
-        finite = D.d[D.finite_mask()]
+        finite = D.d[finite_mask(D)]
         ladder = np.unique(finite[finite > 0])
     elif step <= 0:
         raise InputError("step must be positive")
@@ -289,7 +294,7 @@ def scales(D, h):
     come from ``floor(d / h)``, which can disagree with the window test of
     :func:`side_mask` when ``d / h`` rounds across a window edge.
     """
-    vals = D.d[(D.d > 0) & D.finite_mask()]
+    vals = D.d[(D.d > 0) & finite_mask(D)]
     keys = np.unique((np.round(vals) if h is None else np.floor(vals / h)).astype(np.int64))
     # sides below one unit or one bin width cannot be certified equal
     keys = keys[keys >= 1]
@@ -346,6 +351,46 @@ def equilateral_triples_scan(D, side, m=1.0, seed=0, side_window=None, allowed=N
                 break
 
     return sorted(seen)
+
+
+def equilateral_triples_matmul(D, A, m=1.0, seed=0):
+    """Triple search by a dense float32 matmul over the active side graph.
+
+    find_equilateral_triples must equal it on every side mask, asymmetric
+    ones included: same candidates, same sample, same (s, j, k) picks.
+    """
+    from curvprof import InputError
+
+    if not (0 < m <= 1):
+        raise InputError("sample fraction m must lie in (0, 1]")
+    if A.shape != D.d.shape:
+        raise InputError(f"side graph must be {D.n} x {D.n}, got {A.shape}")
+    # a vertex can only close a triangle if it has >= 2 same-side partners
+    active = np.flatnonzero(A.sum(axis=1) >= 2)
+    if active.size < 3:
+        return []
+    As = A[np.ix_(active, active)]
+    Af = As.astype(np.float32)
+    # E[s, j]: j is a side partner of s and the two share a side partner k,
+    # so s, j, k close a triangle. Rows with an entry are the candidates;
+    # a row's first entry and its first common partner are the pick. Af.T
+    # compares rows, as the pick does: a weighted side graph can be
+    # asymmetric by an ulp, and only the row form makes every pick close.
+    # The transpose is copied so that numpy calls gemm, not syrk: OpenBLAS
+    # syrk spun its threads on small matrices (2-vCPU VM: +40 % CPU).
+    E = (Af @ np.ascontiguousarray(Af.T) > 0) & As
+    rows = np.flatnonzero(E.any(axis=1))
+    if rows.size == 0:
+        return []
+
+    n_sample = math.ceil(m * D.n)
+    if rows.size > n_sample:
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(rows, size=n_sample, replace=False)
+    j = E[rows].argmax(axis=1)
+    k = (As[rows] & As[j]).argmax(axis=1)
+    picks = np.sort(active[np.column_stack((rows, j, k))], axis=1)
+    return sorted(set(map(tuple, picks.tolist())))
 
 
 def _all_integral(values):

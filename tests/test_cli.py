@@ -575,3 +575,20 @@ class TestMalformedOptions:
         assert cli.main(argv) == 2
         assert "weighted metrics only" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [inp]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["profile", "{}", "-m", "1.0", "--k", "2"], "--k"),
+            (["rho", "{}", "0", "1", "2", "--eps", "0.1"], "--eps"),
+            (["estimate-dim", "{}", "--dims", "2", "--kmin", "3", "--kmax", "4"], "--kmin, --kmax"),
+        ],
+        ids=["profile-k", "rho-eps", "estimate-dim-kmin-kmax"],
+    )
+    def test_graph_rule_on_edge_list_exits_2(self, tmp_path, capsys, argv, named):
+        # an edge list is already a graph: a graph rule would be recorded but never read
+        inp = tmp_path / "t.edges"
+        inp.write_text("0 1\n1 2\n0 2\n2 3\n")
+        assert cli.main([a.format(inp) for a in argv]) == 2
+        assert f"{named} applies to point clouds and metrics only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [inp]

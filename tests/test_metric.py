@@ -91,7 +91,7 @@ class TestShortestPaths:
         rng = np.random.default_rng(3)
         edges = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
         D = shortest_path_matrix(Graph.from_edges(12, edges))
-        fin = D.finite_mask()
+        fin = oracles.finite_mask(D)
         for i in range(12):
             for j in range(12):
                 for k in range(12):
@@ -135,11 +135,12 @@ class TestGromovProducts:
             assert abs((g.r1 + g.r2) - a) <= 1e-12 * max(1, a)
             assert abs((g.r1 + g.r3) - b) <= 1e-12 * max(1, b)
             assert abs((g.r2 + g.r3) - c) <= 1e-12 * max(1, c)
-            assert g.all_nonnegative
+            # all three are nonnegative exactly when the triangle inequality holds
+            assert min(g.r1, g.r2, g.r3) >= 0
 
     def test_triangle_violation_flagged_not_raised(self):
         g = gromov_products(10, 1, 1)
-        assert not g.all_nonnegative
+        assert min(g.r1, g.r2, g.r3) < 0
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):

@@ -14,6 +14,7 @@ from scipy.spatial import cKDTree
 import oracles
 from curvprof import (
     CurvatureProfile,
+    DistanceMatrix,
     Graph,
     GridSpec,
     ProfileDistribution,
@@ -168,12 +169,63 @@ def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
         ref = reference_mask(k)
         assert A.tobytes() == ref.tobytes()
         got = find_equilateral_triples(D, A, m=m, seed=[seed, k])
+        assert got == oracles.equilateral_triples_matmul(D, A, m=m, seed=[seed, k])
         if np.array_equal(A, A.T):
             label, window = _reference_scale(k, h)
             assert got == oracles.equilateral_triples_scan(D, label, m, [seed, k], window, allowed)
         else:
             # an ulp-asymmetric weighted side graph: the row-built pick still closes
             assert all(_closes(A, t) for t in got)
+
+
+def _random_side_mask(n, density, seed, flips=0.0):
+    """Random side graph on n vertices, with a false diagonal.
+
+    Symmetric, or with a ``flips`` share of entries then flipped on one side
+    only, as a weighted metric's ulp-asymmetric rows put a pair in a side
+    window from one end but not from the other.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < density, 1)
+    A |= A.T
+    A ^= rng.random((n, n)) < flips
+    np.fill_diagonal(A, False)
+    return A
+
+
+# a seed draws the entries, so that masks of whole 64-bit words and beyond
+# stay cheap to generate
+side_masks = st.builds(
+    _random_side_mask,
+    n=st.integers(3, 140),
+    density=st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.6, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+    flips=st.sampled_from([0.0, 0.0, 0.005, 0.05]),
+)
+
+
+def _metric_of_size(n):
+    # the triple search reads only the side mask and the matrix size
+    return DistanceMatrix(d=np.zeros((n, n)), sentinel=None, diameter=0.0, integer_valued=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=side_masks, m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+# 63, 64, 65 and 129 vertices: padding bits, a row of exactly one word, a
+# second and a third word; 140 vertices at density 0.9 span three edge chunks
+@example(A=_random_side_mask(63, 0.3, seed=1), m=1.0, seed=0)
+@example(A=_random_side_mask(64, 0.3, seed=2), m=0.1, seed=1)
+@example(A=_random_side_mask(65, 0.3, seed=3, flips=0.05), m=1.0, seed=2)
+@example(A=_random_side_mask(129, 0.1, seed=4), m=0.5, seed=3)
+@example(A=_random_side_mask(129, 0.6, seed=5, flips=0.005), m=1.0, seed=4)
+@example(A=_random_side_mask(140, 0.9, seed=6), m=1.0, seed=5)
+def test_triple_search_equals_the_matmul_reference(A, m, seed):
+    D = _metric_of_size(A.shape[0])
+    got = find_equilateral_triples(D, A, m=m, seed=seed)
+    assert got == oracles.equilateral_triples_matmul(D, A, m=m, seed=seed)
+    # a list of tuples of Python ints: callers test it with `not out` and write it as JSON
+    assert type(got) is list
+    assert all(type(t) is tuple and len(t) == 3 and all(type(v) is int for v in t) for t in got)
 
 
 near_integer = st.builds(
