@@ -94,10 +94,19 @@ def load_input(path, fmt=None):
 
 
 def _build_graph(data, args):
-    """Apply the requested neighborhood rule to a point cloud or precomputed metric."""
-    if args.kmin is not None or args.kmax is not None:
+    """Apply the one neighborhood rule the options name to a point cloud or precomputed metric."""
+    adaptive = args.kmin is not None or args.kmax is not None
+    rules = {"--kmin/--kmax": adaptive, "--k": args.k is not None, "--eps": args.eps is not None}
+    named = [opt for opt, given in rules.items() if given]
+    if len(named) > 1:
+        raise InputError(f"{' and '.join(named)} name different graph rules: give one")
+    if args.density_k_direction is not None and not adaptive:
+        raise InputError("--density-k-direction applies to the adaptive rule only: give --kmin and --kmax")
+    if adaptive:
         if args.kmin is None or args.kmax is None:
             raise InputError("--kmin and --kmax must be given together")
+        # the config records the direction the rule read
+        args.density_k_direction = args.density_k_direction or "asc"
         return adaptive_graph(data, args.kmin, args.kmax, direction=args.density_k_direction)
     if args.k is not None:
         return knn_graph(data, args.k)
@@ -108,7 +117,8 @@ def _build_graph(data, args):
 
 def _metric_from_input(kind, data, args):
     """Route any input to the DistanceMatrix that profile and rho run on (an edge list takes no graph rule)."""
-    given = [f"--{name}" for name in ("k", "kmin", "kmax", "eps") if getattr(args, name) is not None]
+    given = [f"--{name.replace('_', '-')}" for name in ("k", "kmin", "kmax", "eps", "density_k_direction")
+             if getattr(args, name) is not None]
     if kind == "graph" and given:
         raise InputError(f"{', '.join(given)} applies to point clouds and metrics only; "
                          "this input is an edge list")
@@ -319,7 +329,7 @@ def _external_embeddings(directory, dims, expected_n):
 
 def cmd_estimate_dim(args):
     kind, data = load_input(args.input, args.format)
-    if kind == "points" and args.k is None and args.kmin is None and args.eps is None:
+    if kind == "points" and all(getattr(args, o) is None for o in ("k", "kmin", "kmax", "eps")):
         args.kmin, args.kmax = 10, 15  # adaptive default for the original side
     D0 = _metric_from_input(kind, data, args)
     cfg = _resolved_config(args, "estimate-dim")
@@ -441,15 +451,16 @@ def _add_graph_opts(p):
     p.add_argument(
         "--density-k-direction",
         choices=("asc", "desc"),
-        default="asc",
-        help="denser points get larger k (asc, default) or smaller (desc)",
+        default=None,
+        help="adaptive rule: denser points get larger k (asc, default) or smaller (desc)",
     )
 
 
 def _add_profile_opts(p):
     p.add_argument("-m", type=float, default=0.1, help="per-scale sample fraction (default 0.1)")
     p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
-    p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", os.cpu_count() or 1))
+    p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", 1),
+                   help="threads for the per-scale triangle searches (default 1)")
 
 
 def build_parser():

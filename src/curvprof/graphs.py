@@ -4,6 +4,11 @@ Three rules are provided: the plain symmetric k-NN graph ("vanilla"), the
 epsilon-ball graph, and a density-adaptive k-NN graph whose per-point k
 interpolates between k_min and k_max according to a normalized local
 density score.
+
+Every rule reads the pairwise distances in row blocks of about 2 MB
+(``cdist`` rows of a point cloud, slices of a metric), whatever the input
+size, so a graph never depends on n crossing a threshold. Neighbor lists
+are exact and ordered by (distance, index).
 """
 
 from __future__ import annotations
@@ -12,16 +17,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .metric import DistanceMatrix, Graph, InputError, _read_csv
 
 logger = logging.getLogger(__name__)
-
-# above this size pairwise matrices stop fitting comfortably in memory and
-# neighbor queries go through a kd-tree instead
-DENSE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -66,43 +66,46 @@ def _pairwise(data):
     return data.d
 
 
-def _kdtree(data):
-    """A kd-tree over a point cloud too large for a dense pairwise matrix, else None."""
-    if isinstance(data, PointCloud) and data.n > DENSE_LIMIT:
-        return cKDTree(data.coords)
-    return None
+def _row_blocks(data):
+    """The pairwise distances as fresh ``(lo, d)`` row blocks of about 2 MB of float64.
+
+    ``d`` holds the rows from ``lo`` on: ``cdist`` rows of a point cloud,
+    copied slices of a metric. The input checks of ``_pairwise`` run on the
+    call, before any block is made.
+    """
+    full = None if isinstance(data, PointCloud) else _pairwise(data)
+    step = max(1, (1 << 18) // data.n)
+    return (
+        (lo, cdist(data.coords[lo:lo + step], data.coords) if full is None
+         else np.array(full[lo:lo + step]))
+        for lo in range(0, data.n, step)
+    )
 
 
 def _neighbor_lists(data, kmax):
     """Indices and distances of the kmax nearest neighbors of every point.
 
-    Rows are sorted by (distance, index) so that rank ties always resolve
-    to the smaller vertex id, independent of the query backend.
+    Rows are sorted by (distance, index), so rank ties always resolve to
+    the smaller vertex id.
     """
-    # a point cloud's rows are computed below; a metric's come from _pairwise
-    full = None if isinstance(data, PointCloud) else _pairwise(data)
+    blocks = _row_blocks(data)
     n = data.n
     if kmax >= n:
         raise InputError(f"k={kmax} must be smaller than the number of points n={n}")
-    tree = _kdtree(data)
-    if tree is None:
-        # dense rows a block at a time: the point itself sorts last as +inf
-        idx = np.empty((n, kmax), dtype=np.int64)
-        dist = np.empty((n, kmax))
-        step = max(1, (1 << 18) // n)  # about 2 MB of float64 per block
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            d = cdist(data.coords[lo:hi], data.coords) if full is None else np.array(full[lo:hi])
-            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            idx[lo:hi] = np.argsort(d, axis=1, kind="stable")[:, :kmax]
-            dist[lo:hi] = np.take_along_axis(d, idx[lo:hi], axis=1)
-        return idx, dist
-    # kd-tree: the point itself sorts last as +inf (it may be missing when
-    # duplicates crowd it out), then an index-aware re-sort of the candidates
-    dist, idx = tree.query(data.coords, k=kmax + 1)
-    dist[idx == np.arange(n)[:, None]] = np.inf
-    order = np.lexsort((idx, dist), axis=1)[:, :kmax]
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1)
+    idx = np.empty((n, kmax), dtype=np.int64)
+    dist = np.empty((n, kmax))
+    for lo, d in blocks:
+        b = len(d)
+        d[np.arange(b), np.arange(lo, lo + b)] = np.inf  # the point itself sorts last
+        # every entry up to the row's kmax-th smallest, ties at that distance included
+        r, c = np.nonzero(d <= np.partition(d, kmax - 1, axis=1)[:, kmax - 1, None])
+        v = d[r, c]
+        order = np.lexsort((c, v, r))
+        # r is sorted, and so is r[order]: an entry's rank is its offset from its row's start
+        keep = order[np.arange(len(r)) - np.searchsorted(r, r) < kmax]
+        idx[lo:lo + b] = c[keep].reshape(b, kmax)
+        dist[lo:lo + b] = v[keep].reshape(b, kmax)
+    return idx, dist
 
 
 def knn_graph(data, k) -> Graph:
@@ -119,18 +122,12 @@ def epsilon_graph(data, eps) -> Graph:
     """Connect every pair at distance <= eps, weighted by that distance."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    tree = _kdtree(data)
-    if tree is None:
-        dense = _pairwise(data)
-        i, j = np.nonzero(np.triu(dense <= eps, k=1))
-        w = dense[i, j]
-    else:
-        i, j = tree.query_pairs(eps, output_type="ndarray").T
-        diff = data.coords[i] - data.coords[j]
-        # one dot product per pair, the same sum np.linalg.norm takes
-        w = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    edges = []
+    for lo, d in _row_blocks(data):
+        r, c = np.nonzero(np.triu(d <= eps, k=lo + 1))  # the pairs (lo + r, c) with c > lo + r
+        edges.append(np.column_stack((r + lo, c, d[r, c])))
     return Graph.from_edges(
-        data.n, np.column_stack((i, j, w)), params={"rule": "epsilon", "eps": float(eps)}
+        data.n, np.concatenate(edges), params={"rule": "epsilon", "eps": float(eps)}
     )
 
 

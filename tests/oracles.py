@@ -424,3 +424,29 @@ def finalize_distance_matrix_copying(d):
         diameter=diameter,
         integer_valued=integer_valued,
     )
+
+
+def neighbor_lists_argsort(data, kmax):
+    """Full-row stable argsort neighbor lists, kept as the reference for _neighbor_lists.
+
+    Rows are sorted by (distance, index) so that rank ties always resolve
+    to the smaller vertex id.
+    """
+    from curvprof.graphs import InputError, PointCloud, _pairwise
+
+    # a point cloud's rows are computed below; a metric's come from _pairwise
+    full = None if isinstance(data, PointCloud) else _pairwise(data)
+    n = data.n
+    if kmax >= n:
+        raise InputError(f"k={kmax} must be smaller than the number of points n={n}")
+    # dense rows a block at a time: the point itself sorts last as +inf
+    idx = np.empty((n, kmax), dtype=np.int64)
+    dist = np.empty((n, kmax))
+    step = max(1, (1 << 18) // n)  # about 2 MB of float64 per block
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d = cdist(data.coords[lo:hi], data.coords) if full is None else np.array(full[lo:hi])
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        idx[lo:hi] = np.argsort(d, axis=1, kind="stable")[:, :kmax]
+        dist[lo:hi] = np.take_along_axis(d, idx[lo:hi], axis=1)
+    return idx, dist

@@ -390,6 +390,10 @@ class TestEnvironmentOverrides:
         payload = json.loads((tmp_path / "p.profile.json").read_text())
         assert payload["meta"]["seed"] == 123
 
+    def test_workers_default_to_one(self, monkeypatch):
+        monkeypatch.delenv("CURVPROF_WORKERS", raising=False)
+        assert cli.build_parser().parse_args(["profile", "x"]).workers == 1
+
     @pytest.mark.parametrize("var", ["CURVPROF_SEED", "CURVPROF_WORKERS"])
     def test_non_integer_env_value_exits_2(self, tmp_path, monkeypatch, capsys, var):
         monkeypatch.setenv(var, "abc")
@@ -582,8 +586,9 @@ class TestMalformedOptions:
             (["profile", "{}", "-m", "1.0", "--k", "2"], "--k"),
             (["rho", "{}", "0", "1", "2", "--eps", "0.1"], "--eps"),
             (["estimate-dim", "{}", "--dims", "2", "--kmin", "3", "--kmax", "4"], "--kmin, --kmax"),
+            (["profile", "{}", "-m", "1.0", "--density-k-direction", "desc"], "--density-k-direction"),
         ],
-        ids=["profile-k", "rho-eps", "estimate-dim-kmin-kmax"],
+        ids=["profile-k", "rho-eps", "estimate-dim-kmin-kmax", "profile-direction"],
     )
     def test_graph_rule_on_edge_list_exits_2(self, tmp_path, capsys, argv, named):
         # an edge list is already a graph: a graph rule would be recorded but never read
@@ -592,3 +597,46 @@ class TestMalformedOptions:
         assert cli.main([a.format(inp) for a in argv]) == 2
         assert f"{named} applies to point clouds and metrics only" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [inp]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["profile", "{pts}", "--k", "6", "--eps", "0.01"], "--k and --eps name different graph rules"),
+            (["profile", "{pts}", "--kmin", "4", "--kmax", "6", "--k", "9"],
+             "--kmin/--kmax and --k name different graph rules"),
+            (["estimate-dim", "{pts}", "--dims", "2", "--kmin", "4", "--kmax", "6", "--eps", "0.3"],
+             "--kmin/--kmax and --eps name different graph rules"),
+            (["rho", "{pts}", "0", "1", "2", "--k", "3", "--density-k-direction", "asc"],
+             "--density-k-direction applies to the adaptive rule only"),
+            (["profile", "{pts}", "--eps", "0.3", "--density-k-direction", "desc"],
+             "--density-k-direction applies to the adaptive rule only"),
+            (["profile", "{dist}", "--format", "distmatrix", "--density-k-direction", "desc"],
+             "--density-k-direction applies to the adaptive rule only"),
+            (["estimate-dim", "{pts}", "--dims", "2", "--kmax", "20"], "--kmin and --kmax must be given together"),
+        ],
+        ids=["k-eps", "adaptive-k", "adaptive-eps", "direction-k", "direction-eps", "direction-metric",
+             "estimate-dim-kmax-alone"],
+    )
+    def test_one_graph_rule_per_run(self, tmp_path, capsys, argv, message):
+        # an option the chosen rule does not read would be recorded in the config but change nothing
+        pts = plane_sample(30, seed=2).coords
+        np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")
+        np.savetxt(tmp_path / "d.csv", np.linalg.norm(pts[:, None] - pts[None], axis=-1), delimiter=",")
+        before = sorted(tmp_path.iterdir())
+        args = [a.format(pts=tmp_path / "pts.csv", dist=tmp_path / "d.csv") for a in argv]
+        assert cli.main(args + (["--out", str(tmp_path / "o")] if argv[0] != "rho" else [])) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "rule, direction",
+        [(["--k", "5"], None), (["--kmin", "4", "--kmax", "6"], "asc"),
+         (["--kmin", "4", "--kmax", "6", "--density-k-direction", "desc"], "desc")],
+        ids=["knn", "adaptive-default", "adaptive-desc"],
+    )
+    def test_config_records_the_direction_only_when_read(self, tmp_path, rule, direction):
+        np.savetxt(tmp_path / "pts.csv", plane_sample(60, seed=2).coords, delimiter=",")
+        rc = cli.main(["profile", str(tmp_path / "pts.csv"), "-m", "1.0", *rule, "--out", str(tmp_path / "p")])
+        assert rc == 0
+        cfg = json.loads((tmp_path / "p.profile.json").read_text())["meta"]["config"]
+        assert cfg["density_k_direction"] == direction

@@ -173,41 +173,6 @@ class TestAdaptiveGraph:
         assert peak < 8 * cloud.n**2 / 2
 
 
-class TestKdTreeBackend:
-    def test_knn_matches_dense_backend(self, monkeypatch):
-        import curvprof.graphs as graphs_mod
-
-        rng = np.random.default_rng(7)
-        cloud = PointCloud(coords=rng.random((300, 2)))
-        dense = knn_graph(cloud, 5).edges
-        monkeypatch.setattr(graphs_mod, "DENSE_LIMIT", 10)
-        kd = knn_graph(cloud, 5).edges
-        assert {(i, j) for i, j, _ in kd} == {(i, j) for i, j, _ in dense}
-        np.testing.assert_allclose(
-            [w for _, _, w in kd], [w for _, _, w in dense], rtol=1e-12
-        )
-
-    def test_epsilon_matches_dense_backend(self, monkeypatch):
-        import curvprof.graphs as graphs_mod
-
-        rng = np.random.default_rng(8)
-        cloud = PointCloud(coords=rng.random((200, 2)))
-        dense = epsilon_graph(cloud, 0.1).edges
-        monkeypatch.setattr(graphs_mod, "DENSE_LIMIT", 10)
-        kd = epsilon_graph(cloud, 0.1).edges
-        assert {(i, j) for i, j, _ in kd} == {(i, j) for i, j, _ in dense}
-
-    def test_adaptive_matches_dense_backend(self, monkeypatch):
-        import curvprof.graphs as graphs_mod
-
-        rng = np.random.default_rng(9)
-        cloud = PointCloud(coords=rng.random((150, 3)))
-        dense = adaptive_graph(cloud, 3, 6).edges
-        monkeypatch.setattr(graphs_mod, "DENSE_LIMIT", 10)
-        kd = adaptive_graph(cloud, 3, 6).edges
-        assert {(i, j) for i, j, _ in kd} == {(i, j) for i, j, _ in dense}
-
-
 class TestPointCloudIO:
     def test_load_plain(self, tmp_path):
         p = tmp_path / "pts.csv"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist, squareform
 
 import oracles
 from curvprof import (
@@ -17,14 +18,17 @@ from curvprof import (
     DistanceMatrix,
     Graph,
     GridSpec,
+    PointCloud,
     ProfileDistribution,
     build_profile,
+    distance_matrix_from_array,
+    epsilon_graph,
     shortest_path_matrix,
     to_distribution,
     transport,
     wasserstein1,
 )
-from curvprof.graphs import _graph_from_neighbor_selection
+from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists
 from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import (
     _RHO_RANGE_SLACK,
@@ -88,6 +92,61 @@ def test_neighbor_selection_matches_loop_reference(sel):
         [e[1] for e in expected],
         [e[2] for e in expected],
     )
+
+
+def _lattice(n, dim, seed, levels=3):
+    """n points on an integer grid of side ``levels``: equal distances and duplicates are common."""
+    return np.random.default_rng(seed).integers(0, levels, (n, dim)).astype(float)
+
+
+def _as_metric(coords):
+    return distance_matrix_from_array(squareform(pdist(coords)))
+
+
+@st.composite
+def neighbor_inputs(draw):
+    """A point cloud or its metric, a k in [1, n - 1] and an eps.
+
+    Lattice clouds put ties and duplicate points in most rows; n above 512
+    spans several row blocks (a block holds 2**18 // n rows).
+    """
+    n = draw(st.one_of(st.integers(2, 40), st.integers(513, 1100)))
+    dim, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        coords = _lattice(n, dim, seed, levels=draw(st.sampled_from([2, 3, 5])))
+    else:
+        coords = 3.0 * np.random.default_rng(seed).random((n, dim))
+    data = _as_metric(coords) if draw(st.booleans()) else PointCloud(coords=coords)
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    return data, k, draw(st.sampled_from([0.1, 0.5, 1.0, 1.5]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inp=neighbor_inputs())
+@example(inp=(PointCloud(coords=_lattice(1100, 2, seed=0)), 1, 1.0))
+@example(inp=(PointCloud(coords=_lattice(700, 3, seed=1)), 699, 1.0))
+@example(inp=(_as_metric(_lattice(600, 2, seed=2)), 5, 1.0))
+def test_neighbor_lists_equal_the_argsort_reference(inp):
+    data, k, _ = inp
+    idx, dist = _neighbor_lists(data, k)
+    ref_idx, ref_dist = oracles.neighbor_lists_argsort(data, k)
+    assert (idx.dtype, dist.dtype) == (ref_idx.dtype, ref_dist.dtype)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inp=neighbor_inputs())
+@example(inp=(PointCloud(coords=_lattice(1100, 2, seed=0)), 1, 1.0))
+@example(inp=(_as_metric(_lattice(600, 2, seed=2)), 5, 1.5))
+def test_epsilon_graph_equals_the_dense_threshold(inp):
+    data, _, eps = inp
+    D = data.d if isinstance(data, DistanceMatrix) else squareform(pdist(data.coords))
+    i, j = np.nonzero(np.triu(D <= eps, 1))
+    g = epsilon_graph(data, eps)
+    assert np.array_equal(g.i, i)
+    assert np.array_equal(g.j, j)
+    assert np.array_equal(g.w, D[i, j])
 
 
 @st.composite
