@@ -238,7 +238,7 @@ def cmd_rho(args):
     if len({v1, v2, v3}) != 3:
         raise InputError("need three distinct vertices")
     if not D.is_connected_triple(v1, v2, v3):
-        raise InputError("triple spans disconnected components (sentinel distance)")
+        raise InputError("triple spans disconnected components")
     d12, d13, d23 = D.d[v1, v2], D.d[v1, v3], D.d[v2, v3]
     g = gromov_products(d12, d13, d23)
     shape = lambda_measure(d12, d13, d23)
@@ -261,6 +261,8 @@ def cmd_embed(args):
     cfg = _resolved_config(args, "embed")
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     if args.method == "mds":
+        if args.k is not None:
+            raise InputError("--k is the Isomap neighbour count; --method mds reads none")
         full = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
     elif kind != "graph" and args.k is None:
         raise InputError("isomap on a point cloud or metric needs --k")

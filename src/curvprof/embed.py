@@ -6,10 +6,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import PointCloud, _pairwise, knn_graph, load_point_cloud
-from .metric import Graph, InputError, _adjacency, distance_matrix_from_array, shortest_path_matrix
+from .metric import Graph, InputError, distance_matrix_from_array, shortest_path_matrix
 
 
 @dataclass(frozen=True)
@@ -84,18 +83,20 @@ def isomap(data, k, d) -> EmbeddingResult:
     """Geodesic MDS: kNN-graph shortest paths fed into classical MDS.
 
     Accepts a PointCloud or a DistanceMatrix to build the kNN graph from,
-    or an already-built Graph. A disconnected graph is reduced
-    to its largest component with a warning.
+    or an already-built Graph. A disconnected graph is reduced to its
+    largest component, the one of the lowest vertex id on ties, with a
+    warning.
     """
     if isinstance(data, Graph):
         g = data
     else:
         g = knn_graph(data, k)
     Dm = shortest_path_matrix(g)
-    if Dm.sentinel is None:
+    if Dm.connected:
         return classical_mds(Dm, d)
-    _, labels = connected_components(_adjacency(g), directed=False)
-    kept = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+    # a vertex's finite row entries are its component
+    finite = np.isfinite(Dm.d)
+    kept = np.flatnonzero(finite[finite.sum(axis=1).argmax()])
     warnings.warn(
         f"kNN graph is disconnected; embedding the largest component ({kept.size} of {g.n} points)",
         stacklevel=2,

@@ -55,13 +55,13 @@ def _pairwise(data):
 
     The one normalizer behind neighborhood graphs and MDS, and the one
     place that checks their input: any other type, or a metric with
-    disconnected pairs (sentinel entries), is an InputError.
+    disconnected pairs (``inf`` entries), is an InputError.
     """
     if isinstance(data, PointCloud):
         return squareform(pdist(data.coords))
     if not isinstance(data, DistanceMatrix):
         raise InputError(f"expected a PointCloud or a DistanceMatrix, got {type(data).__name__}")
-    if data.sentinel is not None:
+    if not data.connected:
         raise InputError("metric has disconnected pairs: use one connected component")
     return data.d
 

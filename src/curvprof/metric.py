@@ -2,8 +2,7 @@
 
 Everything downstream works on a :class:`DistanceMatrix`: a dense matrix of
 nonnegative reals, symmetric up to an ulp, in which pairs living in
-different connected components carry a large finite sentinel (100x the
-largest true distance) instead of infinity.
+different connected components are at distance ``inf``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
-
-SENTINEL_FACTOR = 100.0
 
 # side-length equality tolerance (relative) for exact integer-valued metrics
 EXACT_SIDE_RTOL = 1e-9
@@ -100,21 +97,20 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Nonnegative distance matrix with a disconnection sentinel.
+    """Nonnegative distance matrix; pairs with no path are at ``inf``.
 
     Weighted shortest paths are symmetric only to an ulp (each row is its
     own Dijkstra run); the triple search reads rows of its side mask, so
     every pick still closes a triangle.
 
-    ``sentinel`` is None for connected inputs; otherwise it equals
-    ``SENTINEL_FACTOR`` times the largest finite distance and is strictly
-    greater than every true distance. ``diameter`` excludes sentinel entries.
-    ``integer_valued`` marks exact metrics (graph hop counts or integer
-    weights) where side-length equality is exact rather than binned.
+    ``connected`` is true when every entry is finite. ``diameter`` is the
+    largest finite distance. ``integer_valued`` marks exact metrics (graph
+    hop counts or integer weights) where side-length equality is exact
+    rather than binned.
     """
 
     d: np.ndarray
-    sentinel: float | None
+    connected: bool
     diameter: float
     integer_valued: bool
 
@@ -126,22 +122,13 @@ class DistanceMatrix:
         return self.d.shape[0]
 
     def is_connected_triple(self, v1, v2, v3):
-        if self.sentinel is None:
-            return True
-        sub = self.d[np.ix_([v1, v2, v3], [v1, v2, v3])]
-        return not np.any(sub == self.sentinel)
+        return bool(np.isfinite(self.d[np.ix_([v1, v2, v3], [v1, v2, v3])]).all())
 
     def scaled(self, c):
-        """Return a copy with every distance multiplied by c > 0.
-
-        The sentinel and flags are derived afresh from the scaled distances.
-        """
+        """Return a copy with every distance multiplied by c > 0 and its flags derived afresh."""
         if c <= 0:
             raise InputError("scale factor must be positive")
-        d = self.d * c
-        if self.sentinel is not None:
-            d[self.d == self.sentinel] = np.inf
-        return _finalize_distance_matrix(d)
+        return _finalize_distance_matrix(self.d * c)
 
 
 @dataclass(frozen=True)
@@ -166,11 +153,11 @@ class TripleShape:
 
 
 def _finalize_distance_matrix(d):
-    """Derive diameter / integrality flags and replace inf by the sentinel.
+    """Derive the connectivity, diameter and integrality flags of ``d``.
 
-    Works in place on ``d``, a fresh C-contiguous float64 array with a
-    zero diagonal that the caller hands over; the diagonal changes neither
-    the maximum nor the integrality test.
+    Takes over ``d``, a fresh C-contiguous float64 array with a zero
+    diagonal; the diagonal changes neither the maximum nor the integrality
+    test.
     """
     finite = np.isfinite(d)
     diameter = float(np.max(d, where=finite, initial=0.0))
@@ -179,13 +166,7 @@ def _finalize_distance_matrix(d):
         np.subtract(d, err, out=err)
         np.abs(err, out=err)
     integer_valued = bool(np.max(err, where=finite, initial=0.0) <= 1e-9)
-    sentinel = None
-    if not finite.all():
-        # degenerate edgeless graphs have diameter 0; keep the sentinel
-        # strictly above every true distance anyway
-        sentinel = SENTINEL_FACTOR * (diameter if diameter > 0 else 1.0)
-        np.copyto(d, sentinel, where=np.logical_not(finite, out=finite))
-    return DistanceMatrix(d=d, sentinel=sentinel, diameter=diameter, integer_valued=integer_valued)
+    return DistanceMatrix(d=d, connected=bool(finite.all()), diameter=diameter, integer_valued=integer_valued)
 
 
 def _adjacency(graph: Graph):
@@ -198,8 +179,7 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
 
     scipy has no all-pairs BFS: ``method="auto"`` runs Dijkstra (Floyd-Warshall
     once the edges number N²/4), on unit weights when the graph is unweighted.
-    Disconnected pairs receive the finite sentinel
-    ``SENTINEL_FACTOR * max finite distance``.
+    Disconnected pairs stay at ``inf``.
     """
     if graph.n < 1:
         raise InputError("graph has zero vertices")
@@ -210,7 +190,7 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
 
 
 def distance_matrix_from_array(arr) -> DistanceMatrix:
-    """Wrap a raw square array of distances (no sentinel detection).
+    """Wrap a raw square array of finite distances.
 
     Validates symmetry, zero diagonal and nonnegativity; the caller is
     responsible for the triangle inequality.

@@ -79,8 +79,8 @@ def _side_keys(D, h):
     Exact metrics (``h`` None) key a pair by its rounded side; binned ones
     by the half-open window ``[k*h, (k+1)*h)`` that holds it. The diagonal,
     sides below one unit or one bin (they cannot be certified equal) and
-    sentinel pairs get 0. Stored in the smallest unsigned dtype that holds
-    the largest key.
+    pairs at ``inf`` (no path) get 0. Stored in the smallest unsigned dtype
+    that holds the largest key.
     """
     d = D.d
     if h is None:
@@ -90,9 +90,9 @@ def _side_keys(D, h):
         # d / h can round across a window edge: one step back into the window
         keys -= keys * h > d
         keys += (keys + 1) * h <= d
+    # one N² mask at a time: or-ing the two masks raised peak RSS
     keys[keys < 1] = 0
-    if D.sentinel is not None:
-        keys[d == D.sentinel] = 0
+    keys[np.isinf(keys)] = 0
     return keys.astype(np.min_scalar_type(int(keys.max())))
 
 
@@ -187,11 +187,14 @@ def rho_minmax(D, triples):
     ``r`` is half the longest of a triple's sides ``d[a, b]``, ``d[a, c]``,
     ``d[b, c]``; rho = min over all vertices x of max_i d(x_i, x), over r.
     Returns the arrays ``(rho, witness)``; the witness is the argmin,
-    smallest index on ties. Works across the whole matrix because sentinel
-    rows can never attain the minimum.
+    smallest index on ties. Works across the whole matrix because a column
+    at ``inf`` never attains the minimum. A triple that spans two
+    components (an infinite side) is an InputError.
     """
     a, b, c = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
     r = np.maximum(np.maximum(D.d[a, b], D.d[a, c]), D.d[b, c]) / 2.0
+    if not np.isfinite(r).all():
+        raise InputError("triple spans disconnected components")
     # the t x n row maximum is built in place: two t x n arrays at most
     mx = D.d[a]
     np.maximum(mx, D.d[b], out=mx)
@@ -209,7 +212,7 @@ def rho_general(D, v1, v2, v3):
     are possible in sparse graphs and are returned as-is.
     """
     if not D.is_connected_triple(v1, v2, v3):
-        raise InputError("triple spans disconnected components (sentinel distance)")
+        raise InputError("triple spans disconnected components")
     d12, d13, d23 = float(D.d[v1, v2]), float(D.d[v1, v3]), float(D.d[v2, v3])
     g = gromov_products(d12, d13, d23)
     rvec = g.as_array()

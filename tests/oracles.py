@@ -11,11 +11,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 
-def finite_mask(D):
-    """Boolean matrix of the true (non-sentinel) entries of a DistanceMatrix."""
-    return np.ones_like(D.d, dtype=bool) if D.sentinel is None else D.d != D.sentinel
-
-
 def floyd_warshall(n, edges):
     """Naive all-pairs shortest paths; edges are (i, j, w)."""
     d = np.full((n, n), np.inf)
@@ -70,18 +65,16 @@ def rho_ball_growth(D, a, b, c, step=None):
 
     maxd = D.d[[a, b, c]].max(axis=0)
     r_in = float(max(D.d[a, b], D.d[a, c], D.d[b, c])) / 2.0
+    if not math.isfinite(r_in):
+        raise RuntimeError("ball growth cannot start: triple spans disconnected components")
     r = r_in
     ladder = None
     if step is None:
-        finite = D.d[finite_mask(D)]
+        finite = D.d[np.isfinite(D.d)]
         ladder = np.unique(finite[finite > 0])
     elif step <= 0:
         raise InputError("step must be positive")
     while not np.any(maxd <= r):
-        if r > D.diameter:
-            raise RuntimeError(
-                "ball growth exceeded the diameter: triple spans disconnected components"
-            )
         if ladder is not None:
             pos = np.searchsorted(ladder, r, side="right")
             if pos >= ladder.size:
@@ -126,11 +119,8 @@ def to_distribution_loop(profile, grid, normalize_r):
 def enumerate_equilateral(D, lo, hi):
     """All vertex triples whose three pairwise distances fall in [lo, hi)."""
     out = []
-    sent = D.sentinel
     for a, b, c in itertools.combinations(range(D.n), 3):
         ds = (D.d[a, b], D.d[a, c], D.d[b, c])
-        if sent is not None and sent in ds:
-            continue
         if all(lo <= x < hi for x in ds):
             out.append((a, b, c))
     return out
@@ -280,8 +270,6 @@ def side_mask(D, side, side_window):
     else:
         lo, hi = side_window
         mask = (d >= lo) & (d < hi)
-    if D.sentinel is not None:
-        mask &= d != D.sentinel
     np.fill_diagonal(mask, False)
     return mask
 
@@ -294,7 +282,7 @@ def scales(D, h):
     come from ``floor(d / h)``, which can disagree with the window test of
     :func:`side_mask` when ``d / h`` rounds across a window edge.
     """
-    vals = D.d[(D.d > 0) & finite_mask(D)]
+    vals = D.d[(D.d > 0) & np.isfinite(D.d)]
     keys = np.unique((np.round(vals) if h is None else np.floor(vals / h)).astype(np.int64))
     # sides below one unit or one bin width cannot be certified equal
     keys = keys[keys >= 1]
@@ -398,29 +386,22 @@ def _all_integral(values):
 
 
 def finalize_distance_matrix_copying(d):
-    """Masked-copy finalisation: off-diagonal finite copy, np.allclose, np.where.
+    """Masked-copy finalisation: an off-diagonal finite copy and np.allclose.
 
-    The in-place _finalize_distance_matrix must give the same bytes, sentinel,
-    diameter and integrality flag.
+    The in-place _finalize_distance_matrix must give the same bytes,
+    connectivity, diameter and integrality flag.
     """
-    from curvprof.metric import SENTINEL_FACTOR, DistanceMatrix
+    from curvprof.metric import DistanceMatrix
 
     n = d.shape[0]
     finite = np.isfinite(d)
     offdiag = ~np.eye(n, dtype=bool)
     finite_off = d[finite & offdiag]
     diameter = float(finite_off.max()) if finite_off.size else 0.0
-    if finite.all():
-        sentinel = None
-    else:
-        # degenerate edgeless graphs have diameter 0; keep the sentinel
-        # strictly above every true distance anyway
-        sentinel = SENTINEL_FACTOR * (diameter if diameter > 0 else 1.0)
-        d = np.where(finite, d, sentinel)
     integer_valued = bool(finite_off.size == 0 or _all_integral(finite_off))
     return DistanceMatrix(
         d=np.ascontiguousarray(d, dtype=np.float64),
-        sentinel=sentinel,
+        connected=bool(finite.all()),
         diameter=diameter,
         integer_valued=integer_valued,
     )

@@ -120,7 +120,7 @@ def test_criterion_04_ball_growth_oracle_equivalence(reporter):
         p = max(2.0 / n, 1.2 * math.log(n) / n)
         edges = oracles.random_connected_er(rng, n, p)
         D = shortest_path_matrix(Graph.from_edges(n, edges))
-        assert D.sentinel is None
+        assert D.connected
         graphs += 1
         enumerated = oracles.enumerate_exact_equilateral(D)
         exact = rho_minmax(D, enumerated)[0].tolist()
@@ -135,7 +135,7 @@ def test_criterion_04_ball_growth_oracle_equivalence(reporter):
 def test_criterion_06_scale_invariance(reporter):
     # weighted geodesic metric of a kNN graph over a plane sample
     D = shortest_path_matrix(knn_graph(plane_sample(300, seed=6), 8))
-    assert D.sentinel is None and not D.integer_valued
+    assert D.connected and not D.integer_valued
     S = D.scaled(7.3)
     p = register(build_profile(D, m=1.0, seed=3))
     ps = register(build_profile(S, m=1.0, seed=3))

@@ -301,6 +301,15 @@ class TestEmbedCommand:
         np.savetxt(inp, plane_sample(30, seed=2).coords, delimiter=",")
         assert cli.main(["embed", str(inp), "--method", "isomap", "--dims", "2"]) == 2
 
+    @pytest.mark.parametrize("method", [[], ["--method", "mds"]], ids=["default", "mds"])
+    def test_mds_rejects_k_and_writes_nothing(self, tmp_path, capsys, method):
+        inp = tmp_path / "pts.csv"
+        np.savetxt(inp, plane_sample(30, seed=2).coords, delimiter=",")
+        argv = ["embed", str(inp), *method, "--k", "7", "--dims", "2", "--out", str(tmp_path / "e")]
+        assert cli.main(argv) == 2
+        assert "--k is the Isomap neighbour count" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+
     @pytest.mark.parametrize("blobs", [(30, 12), (30,)])
     def test_isomap_report_names_the_kept_rows(self, tmp_path, blobs):
         rng = np.random.default_rng(4)

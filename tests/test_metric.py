@@ -23,11 +23,11 @@ class TestShortestPaths:
         D = shortest_path_matrix(path_graph(3))
         assert D.d[0, 2] == 2.0
 
-    def test_disconnected_sentinel_is_100x_max(self):
+    def test_disconnected_pairs_are_infinite(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         D = shortest_path_matrix(g)
-        assert D.sentinel == 100.0
-        assert D.d[0, 2] == 100.0
+        assert not D.connected
+        assert D.d[0, 2] == np.inf
         assert D.diameter == 1.0
 
     def test_five_cycle_symmetry(self):
@@ -58,9 +58,9 @@ class TestShortestPaths:
         monkeypatch.setattr(metric_mod, "shortest_path", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         D = shortest_path_matrix(Graph.from_edges(3, []))
         assert len(calls) == 1
-        assert D.d.tolist() == [[0.0, 100.0, 100.0], [100.0, 0.0, 100.0], [100.0, 100.0, 0.0]]
+        assert D.d.tolist() == [[0.0, np.inf, np.inf], [np.inf, 0.0, np.inf], [np.inf, np.inf, 0.0]]
         assert D.diameter == 0.0
-        assert D.sentinel == 100.0
+        assert not D.connected
         assert D.integer_valued
         assert D.d.dtype == np.float64 and D.d.flags.c_contiguous
 
@@ -78,20 +78,14 @@ class TestShortestPaths:
             g = Graph.from_edges(n, edges)
             D = shortest_path_matrix(g)
             oracle = oracles.floyd_warshall(n, edges)
-            finite = np.isfinite(oracle)
-            assert np.array_equal(D.d[finite], oracle[finite])
-            if not finite.all():
-                assert D.sentinel is not None
-                assert np.all(D.d[~finite] == D.sentinel)
-                assert D.sentinel > D.diameter
-            else:
-                assert D.sentinel is None
+            assert np.array_equal(D.d, oracle)
+            assert D.connected is bool(np.isfinite(oracle).all())
 
     def test_triangle_inequality_on_finite_entries(self):
         rng = np.random.default_rng(3)
         edges = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
         D = shortest_path_matrix(Graph.from_edges(12, edges))
-        fin = oracles.finite_mask(D)
+        fin = np.isfinite(D.d)
         for i in range(12):
             for j in range(12):
                 for k in range(12):
@@ -199,12 +193,12 @@ class TestDistanceMatrixValidation:
         assert np.allclose(S.d, 7.3 * D.d)
         assert S.diameter == pytest.approx(7.3 * D.diameter)
 
-    def test_scaled_disconnected_copy_keeps_sentinel_rule(self):
+    def test_scaled_disconnected_copy_stays_infinite(self):
         D = shortest_path_matrix(Graph.from_edges(4, [(0, 1), (2, 3)]))
         S = D.scaled(0.3)
         assert S.diameter == 0.3
-        assert S.sentinel == 100 * S.diameter
-        assert np.array_equal(S.d == S.sentinel, D.d == D.sentinel)
+        assert not S.connected
+        assert np.array_equal(np.isinf(S.d), np.isinf(D.d))
         assert not S.integer_valued
 
     def test_finalisation_needs_no_full_size_side_copies(self):

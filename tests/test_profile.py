@@ -73,14 +73,14 @@ class TestFindTriples:
         assert a == b
         assert a != c or len(a) == 0
 
-    def test_sentinel_pairs_never_joined(self):
+    def test_disconnected_pairs_never_joined(self):
         for w, h, key in ((1.0, None, 1), (0.7, 0.35, 2)):
             edges = [(0, 1, w), (1, 2, w), (0, 2, w), (3, 4, w), (4, 5, w), (3, 5, w)]
             D = shortest_path_matrix(Graph.from_edges(6, edges))
             assert D.integer_valued is (h is None)
             keys = _side_keys(D, h)
-            # the sentinel is never a valid side: its pairs belong to no scale
-            assert D.sentinel is not None and not keys[D.d == D.sentinel].any()
+            # inf is never a valid side: its pairs belong to no scale
+            assert not D.connected and not keys[np.isinf(D.d)].any()
             assert np.unique(keys).tolist() == [0, key]
             ts = find_equilateral_triples(D, keys == key, m=1.0, seed=0)
             assert ts == [(0, 1, 2), (3, 4, 5)]
@@ -135,7 +135,7 @@ class TestRhoBallGrowth:
 
     def test_cross_component_triple_trips_guard(self):
         D = shortest_path_matrix(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
-        with pytest.raises(RuntimeError):  # spans two components, side = sentinel
+        with pytest.raises(RuntimeError):  # spans two components, side = inf
             oracles.rho_ball_growth(D, 0, 1, 3)
 
     def test_equals_minmax_on_random_connected_graphs(self):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
@@ -18,6 +18,7 @@ from curvprof import (
     DistanceMatrix,
     Graph,
     GridSpec,
+    InputError,
     PointCloud,
     ProfileDistribution,
     build_profile,
@@ -265,7 +266,7 @@ side_masks = st.builds(
 
 def _metric_of_size(n):
     # the triple search reads only the side mask and the matrix size
-    return DistanceMatrix(d=np.zeros((n, n)), sentinel=None, diameter=0.0, integer_valued=True)
+    return DistanceMatrix(d=np.zeros((n, n)), connected=True, diameter=0.0, integer_valued=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,8 +331,8 @@ def test_finalize_matches_copying_reference(d):
     got = _finalize_distance_matrix(d.copy())
     assert got.d.tobytes() == expected.d.tobytes()
     assert got.d.flags.c_contiguous
-    assert (got.sentinel, got.diameter, got.integer_valued) == (
-        expected.sentinel,
+    assert (got.connected, got.diameter, got.integer_valued) == (
+        expected.connected,
         expected.diameter,
         expected.integer_valued,
     )
@@ -344,7 +345,11 @@ def test_rho_minmax_matches_loop_reference(D, data):
     # a longest side below twice the smallest normal float halves inexactly;
     # no scale holds one
     halves = [max(D.d[a, b], D.d[a, c], D.d[b, c]) / 2 for a, b, c in triples]
-    kept = [(t, r) for t, r in zip(triples, halves) if r >= np.finfo(float).tiny]
+    if np.inf in halves:
+        # a triple across two components has an infinite side and no rho
+        with pytest.raises(InputError, match="spans disconnected components"):
+            rho_minmax(D, triples)
+    kept = [(t, r) for t, r in zip(triples, halves) if np.finfo(float).tiny <= r < np.inf]
     rho, witness = rho_minmax(D, [t for t, _ in kept])
     assert rho.shape == witness.shape == (len(kept),)
     for ((a, b, c), r), x, w in zip(kept, rho.tolist(), witness.tolist()):
@@ -369,9 +374,35 @@ def connected_metrics(draw):
 @settings(max_examples=200, deadline=None)
 @given(D=connected_metrics(), m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_profile_rho_lies_in_unit_interval(D, m, seed):
-    assert D.sentinel is None
+    assert D.connected
     for rec in build_profile(D, m=m, seed=seed).records:
         assert all(1.0 <= x <= 2.0 for x in rec.rho_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=small_metrics(),
+    k=st.integers(-3, 3),
+    bins=st.one_of(st.none(), st.integers(1, 60)),
+    m=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_binned_profile_is_invariant_under_power_of_two_scaling(D, k, bins, m, seed):
+    # c = 2**k scales every distance, side bin and half side exactly, so each
+    # pair keeps its key and each rho its bits; a general c can move a side
+    # across a window edge
+    c = 2.0**k
+    S = D.scaled(c)
+    positive = D.d[(D.d > 0) & np.isfinite(D.d)]
+    # an integer-valued metric takes no side bin; subnormal sides scale inexactly
+    assume(not D.integer_valued and not S.integer_valued and positive.min() >= 1e-300)
+    h = None if bins is None else D.diameter / bins  # None: both default to diameter / 50
+    p = build_profile(D, m=m, seed=seed, h=h)
+    ps = build_profile(S, m=m, seed=seed, h=None if h is None else c * h)
+    assert [c * rec.r for rec in p.records] == [rec.r for rec in ps.records]
+    assert [np.array(rec.rho_values).tobytes() for rec in p.records] == [
+        np.array(rec.rho_values).tobytes() for rec in ps.records
+    ]
 
 
 def test_check_rho_range_clamps_dust_and_names_the_outlier():
