@@ -8,6 +8,12 @@ and compares profiles by exact 1-Wasserstein distance - which also yields
 an intrinsic-dimension estimate by scanning embedding dimensions.
 """
 
+import os
+
+# set before numpy loads: a second OpenBLAS thread makes the small eigh and
+# matmul calls of MDS up to 100x dearer in CPU; a user's own setting wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .embed import EmbeddingResult, classical_mds, isomap, load_external_embedding
 from .generate import (
     circle_arc_metric,

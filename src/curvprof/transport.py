@@ -129,7 +129,10 @@ def _solve_transport_lp(p, q, M):
     data = np.ones(rows.size)
     A_eq = coo_matrix((data, (rows, cols)), shape=(a + b - 1, nvar))
     b_eq = np.concatenate([p, q[:-1]])
-    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve
+    res = linprog(
+        M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return res.x.reshape(a, b), float(res.fun)

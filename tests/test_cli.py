@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvprof
 from curvprof import cli, transport
 from curvprof.generate import plane_sample
 
@@ -410,6 +415,68 @@ class TestEnvironmentOverrides:
         write_cycle(inp, 12)
         assert cli.main(["profile", str(inp), "--out", str(tmp_path / "p")]) == 2
         assert var in capsys.readouterr().err
+
+
+def _child(code, threads, cwd=None):
+    """Run ``python -c code`` in a fresh interpreter with curvprof on its path.
+
+    ``threads`` is the child's OPENBLAS_NUM_THREADS; None removes it.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(curvprof.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def _cli_runs(tmp_path, calls, thread_counts):
+    """Run the CLI calls in one child per thread count; (stdout, {file: bytes}) each."""
+    code = f"from curvprof import cli\nfor argv in {calls!r}:\n    assert cli.main(argv) == 0, argv"
+    runs = []
+    for threads in thread_counts:
+        cwd = tmp_path / str(threads)
+        cwd.mkdir()
+        stdout = _child(code, threads, cwd=cwd)
+        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}))
+    return runs
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("threads,expected", [(None, b"1"), ("2", b"2")])
+    def test_import_defaults_to_one_thread_and_keeps_the_users(self, threads, expected):
+        code = "import curvprof, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _child(code, threads).strip() == expected
+
+    def test_small_inputs_give_the_same_bytes_on_one_and_two_threads(self, tmp_path):
+        # at n = 60 OpenBLAS runs these gemm and eigh calls the same way on either count
+        calls = [
+            ["generate", "--kind", "gaussian", "--n", "60", "--dim", "2", "--extra-dims", "3", "--seed", "0",
+             "--out", "g"],
+            ["embed", "g.high.csv", "--method", "mds", "--dims", "1-4", "--out", "e"],
+            ["estimate-dim", "g.high.csv", "--method", "mds", "--dims", "1-4", "--kmin", "6", "--kmax", "8",
+             "-m", "0.2", "--out", "mds"],
+            ["estimate-dim", "g.high.csv", "--method", "isomap", "--embed-k", "10", "--dims", "1-4",
+             "--kmin", "6", "--kmax", "8", "-m", "0.2", "--out", "iso"],
+        ]
+        one, two = _cli_runs(tmp_path, calls, ("1", "2"))
+        assert len(one[1]) == 11
+        assert one == two
+
+    def test_default_gives_the_one_thread_bytes(self, tmp_path):
+        # at n = 150 two threads split gemm and eigh sums differently and move the last
+        # bits of the MDS coordinates, so without the default the bytes would follow
+        # the machine's core count
+        calls = [
+            ["generate", "--kind", "gaussian", "--n", "150", "--dim", "2", "--extra-dims", "10", "--seed", "1",
+             "--out", "g"],
+            ["embed", "g.high.csv", "--method", "mds", "--dims", "2-4", "--out", "e"],
+        ]
+        default, one = _cli_runs(tmp_path, calls, (None, "1"))
+        assert len(default[1]) == 6
+        assert default == one
 
 
 class TestUnreadableInput:

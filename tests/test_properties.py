@@ -453,19 +453,21 @@ def test_to_distribution_matches_loop_reference(records, nr, nrho, normalize_r):
     assert got.meta["total_triangles"] == sum(len(v) for _, v in records)
 
 
+def _draw_measure(draw, grid, max_nodes):
+    """A measure on 1 to ``max_nodes`` distinct grid nodes, with masses from positive integer weights."""
+    nodes = grid.nodes()
+    size = draw(st.integers(1, min(max_nodes, len(nodes))))
+    idx = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=size, max_size=size, unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size)), float)
+    return ProfileDistribution(support=nodes[sorted(idx)], mass=weights / weights.sum(), grid=grid)
+
+
 @st.composite
 def grid_measure_pairs(draw):
-    """Two measures on one small grid, with masses from positive integer weights."""
+    """Two measures of up to 12 nodes on one small grid."""
     grid = GridSpec(nr=draw(st.integers(1, 8)), nrho=draw(st.integers(1, 8)))
-    nodes = grid.nodes()
-
-    def measure():
-        idx = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=12, unique=True))
-        weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=len(idx), max_size=len(idx))), float)
-        return ProfileDistribution(support=nodes[sorted(idx)], mass=weights / weights.sum(), grid=grid)
-
-    P = measure()
-    return P, P if draw(st.booleans()) else measure()
+    P = _draw_measure(draw, grid, 12)
+    return P, P if draw(st.booleans()) else _draw_measure(draw, grid, 12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,3 +496,29 @@ def test_w1_is_symmetric_zero_on_itself_and_equals_the_dense_lp(pair):
         col[j] += amount
     assert np.abs(row - P.mass).max() <= 1e-10
     assert np.abs(col - Q.mass).max() <= 1e-10
+
+
+@st.composite
+def default_grid_measure_pairs(draw):
+    """Two measures of 1-150 nodes each on the default 50x50 grid."""
+    return _draw_measure(draw, GridSpec(), 150), _draw_measure(draw, GridSpec(), 150)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=default_grid_measure_pairs())
+@example(pair=(
+    ProfileDistribution(support=GridSpec().nodes()[:1], mass=np.ones(1), grid=GridSpec()),
+    ProfileDistribution(support=GridSpec().nodes()[-1:], mass=np.ones(1), grid=GridSpec()),
+))
+@example(pair=(
+    ProfileDistribution(support=GridSpec().nodes()[:150], mass=np.full(150, 1 / 150), grid=GridSpec()),
+    ProfileDistribution(support=GridSpec().nodes()[-150:], mass=np.full(150, 1 / 150), grid=GridSpec()),
+))
+def test_presolve_free_lp_equals_the_presolved_dense_lp(pair):
+    P, Q = pair
+    transport._transport.cache_clear()
+    cost, flows = wasserstein1(P, Q, return_plan=True)
+    assert abs(cost - oracles.w1_dense_lp(P, Q)) <= 1e-12
+    i, j, amount = (np.array(c) for c in zip(*flows))
+    assert np.abs(np.bincount(i, amount, len(P.mass)) - P.mass).max() <= 1e-12
+    assert np.abs(np.bincount(j, amount, len(Q.mass)) - Q.mass).max() <= 1e-12
