@@ -1,19 +1,22 @@
 """Distance matrices, Gromov products, and the triangle-shape measure.
 
 Everything downstream works on a :class:`DistanceMatrix`: a dense matrix of
-nonnegative reals, symmetric up to an ulp, in which pairs living in
-different connected components are at distance ``inf``.
+nonnegative reals, symmetric (up to an ulp when weighted), in which pairs
+living in different connected components are at distance ``inf``.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
+
+logger = logging.getLogger(__name__)
 
 # side-length equality tolerance (relative) for exact integer-valued metrics
 EXACT_SIDE_RTOL = 1e-9
@@ -99,9 +102,10 @@ class Graph:
 class DistanceMatrix:
     """Nonnegative distance matrix; pairs with no path are at ``inf``.
 
-    Weighted shortest paths are symmetric only to an ulp (each row is its
-    own Dijkstra run); the triple search reads rows of its side mask, so
-    every pick still closes a triangle.
+    Hop counts are exactly symmetric. Weighted shortest paths are
+    symmetric only to an ulp (each row is its own Dijkstra run); the
+    triple search reads rows of its side mask, so every pick still closes
+    a triangle.
 
     ``connected`` is true when every entry is finite. ``diameter`` is the
     largest finite distance. ``integer_valued`` marks exact metrics (graph
@@ -169,23 +173,78 @@ def _finalize_distance_matrix(d):
     return DistanceMatrix(d=d, connected=bool(finite.all()), diameter=diameter, integer_valued=integer_valued)
 
 
-def _adjacency(graph: Graph):
-    """Sparse upper-triangular weighted adjacency (zero-weight edges kept)."""
-    return coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
+def _hop_counts(graph: Graph):
+    """Hop counts of an unweighted graph, and its number of BFS levels.
+
+    One BFS runs out of every vertex at once (Then et al., "The More the
+    Merrier", PVLDB 2014): row v of a bitset, 64 sources to a uint64 word,
+    holds the sources that have reached v. A level ORs each row's
+    neighbours' frontier rows and keeps what was not reached before. Rows
+    are sorted by degree, so neighbour slot k updates the prefix of rows of
+    degree > k in place. Plane b of the bit-sliced result holds bit b of
+    every distance.
+    """
+    n, words = graph.n, -(-graph.n // 64)
+    ends, others = np.concatenate((graph.i, graph.j)), np.concatenate((graph.j, graph.i))
+    nbrs, deg = others[np.argsort(ends, kind="stable")], np.bincount(ends, minlength=n)
+    perm = np.argsort(-deg, kind="stable")  # row p holds vertex perm[p]
+    pos, first = np.argsort(perm), (np.cumsum(deg) - deg)[perm]
+    rows_with = np.searchsorted(-deg[perm], -np.arange(deg.max(initial=0)), side="left")  # degree > k
+    # slot k: the row of each row's k-th neighbour; an edgeless graph gets one empty slot
+    head, *slots = [pos[nbrs[first[:c] + k]] for k, c in enumerate(rows_with.tolist())] or [perm[:0]]
+    frontier = np.zeros((n, words), dtype=np.uint64)
+    frontier[np.arange(n), perm >> 6] = np.left_shift(np.uint64(1), (perm & 63).astype(np.uint64))
+    unreached = ~frontier  # padding bits past source n - 1 are never reached, and unpack drops them
+    new, planes, levels = np.empty_like(frontier), [], 0
+    while True:
+        np.take(frontier, head, axis=0, out=new[: head.size], mode="clip")  # "clip" skips a buffered copy
+        new[head.size :] = 0
+        for src in slots:
+            np.bitwise_or(new[: src.size], np.take(frontier, src, axis=0), out=new[: src.size])
+        new &= unreached
+        if not new.max():
+            break
+        levels += 1
+        # a pair at distance L is unreached at levels 1..L, where bit b of the level flips an odd
+        # number of times iff bit b of L is set: so XOR-ing at each flip leaves bit b of L
+        for b in range((levels ^ (levels - 1)).bit_length()):
+            if b == len(planes):
+                planes.append(np.zeros_like(new))
+            planes[b] ^= unreached
+        unreached ^= new
+        frontier, new = new, frontier
+
+    def unpack(bits):  # vertex-ordered rows, one byte per source
+        bytes_ = bits[pos].astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
+
+    acc = np.zeros((n, n), dtype=np.uint16 if len(planes) <= 16 else np.uint32)
+    for b, plane in enumerate(planes):
+        acc |= np.left_shift(unpack(plane), b, dtype=acc.dtype)
+    d = acc.astype(np.float64)
+    del acc
+    d[unpack(unreached).view(bool)] = np.inf
+    return d, levels
 
 
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     """All-pairs shortest-path distances of a weighted undirected graph.
 
-    scipy has no all-pairs BFS: ``method="auto"`` runs Dijkstra (Floyd-Warshall
-    once the edges number N²/4), on unit weights when the graph is unweighted.
-    Disconnected pairs stay at ``inf``.
+    Unweighted graphs get exact hop counts from one bit-parallel BFS;
+    weighted ones get scipy's Dijkstra, one run per source (Floyd-Warshall
+    once the edges number N²/4). Disconnected pairs stay at ``inf``.
     """
     if graph.n < 1:
         raise InputError("graph has zero vertices")
     if np.any(graph.w < 0):
         raise InputError("negative edge weights are not supported")
-    d = shortest_path(_adjacency(graph), method="auto", directed=False, unweighted=graph.is_unweighted)
+    if graph.is_unweighted:
+        d, levels = _hop_counts(graph)
+        logger.debug("shortest paths: solver=bfs n=%d edges=%d levels=%d", graph.n, graph.i.size, levels)
+    else:
+        adjacency = coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
+        d = shortest_path(adjacency, method="auto", directed=False)  # zero-weight edges kept
+        logger.debug("shortest paths: solver=dijkstra n=%d edges=%d", graph.n, graph.i.size)
     return _finalize_distance_matrix(d)
 
 

@@ -27,6 +27,17 @@ def floyd_warshall(n, edges):
     return d
 
 
+def hop_counts(n, edges):
+    """All-pairs hop counts by networkx BFS; inf where there is no path. Edge weights are ignored."""
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from((e[0], e[1]) for e in edges)
+    d = np.full((n, n), np.inf)
+    for s, lengths in nx.all_pairs_shortest_path_length(G):
+        d[s, list(lengths)] = list(lengths.values())
+    return d
+
+
 def lambda_alpha_scan(d12, d13, d23, steps=400001):
     """Largest alpha in [1, 2] satisfying the three two-sided inequalities."""
     alphas = np.linspace(1.0, 2.0, steps)

@@ -51,18 +51,35 @@ class TestShortestPaths:
             Graph.from_edges(4, [(0, 1, 1.0), (2, 1, w), (2, 3, -1.0)])
 
     def test_edgeless_graph_goes_through_the_one_solver(self, monkeypatch):
+        # unweighted graphs, the edgeless one and n = 1 included, get hop counts
+        # from the BFS and never reach scipy; a weighted graph reaches it once
         import curvprof.metric as metric_mod
 
         calls = []
         real = metric_mod.shortest_path
         monkeypatch.setattr(metric_mod, "shortest_path", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         D = shortest_path_matrix(Graph.from_edges(3, []))
-        assert len(calls) == 1
         assert D.d.tolist() == [[0.0, np.inf, np.inf], [np.inf, 0.0, np.inf], [np.inf, np.inf, 0.0]]
         assert D.diameter == 0.0
         assert not D.connected
         assert D.integer_valued
         assert D.d.dtype == np.float64 and D.d.flags.c_contiguous
+        one = shortest_path_matrix(Graph.from_edges(1, []))
+        assert one.d.tolist() == [[0.0]] and one.connected and one.diameter == 0.0
+        shortest_path_matrix(path_graph(5))
+        assert calls == []
+        W = shortest_path_matrix(Graph.from_edges(3, [(0, 1, 2.0), (1, 2, 0.5)]))
+        assert len(calls) == 1
+        assert W.d.tolist() == [[0.0, 2.0, 2.5], [2.0, 0.0, 0.5], [2.5, 0.5, 0.0]]
+
+    def test_logs_solver_sizes_and_levels(self, caplog):
+        with caplog.at_level("DEBUG", logger="curvprof.metric"):
+            shortest_path_matrix(path_graph(5))
+            shortest_path_matrix(Graph.from_edges(4, [(0, 1, 2.0), (1, 2, 0.5)]))
+        assert [r.getMessage() for r in caplog.records] == [
+            "shortest paths: solver=bfs n=5 edges=4 levels=4",
+            "shortest paths: solver=dijkstra n=4 edges=2",
+        ]
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = np.random.default_rng(0)

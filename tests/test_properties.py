@@ -338,6 +338,58 @@ def test_finalize_matches_copying_reference(d):
     )
 
 
+@st.composite
+def unweighted_graphs(draw):
+    """(n, edges) with n in 1..200: random components, an optional star, isolated vertices."""
+    n = draw(st.integers(1, 200))
+    parts = draw(st.integers(1, 4))  # edges join only vertices of equal id mod parts
+    isolated = draw(st.integers(0, n))  # the last `isolated` vertices get no edge
+    mean_degree = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.triu_indices(n, 1)
+    keep = (i % parts == j % parts) & (j < n - isolated) & (rng.random(i.size) < mean_degree / n)
+    edges = set(zip(i[keep].tolist(), j[keep].tolist()))
+    if draw(st.booleans()):  # a star centred on vertex 0 over its residue class
+        edges |= {(0, v) for v in range(parts, n - isolated, parts)}
+    return n, sorted(edges)
+
+
+def _cycle_edges(n, start=0):
+    return [(start + v, start + (v + 1) % n) for v in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=unweighted_graphs())
+# one, two and three 64-bit words of sources; 64 BFS levels on the 129-cycle
+@example(graph=(63, [(v, v + 1) for v in range(62)]))
+@example(graph=(64, _cycle_edges(64)))
+@example(graph=(65, [(0, v) for v in range(1, 64)]))
+@example(graph=(128, _cycle_edges(64) + _cycle_edges(64, start=64)))
+@example(graph=(129, _cycle_edges(129)))
+def test_hop_counts_match_networkx_bfs(graph):
+    n, edges = graph
+    got = shortest_path_matrix(Graph.from_edges(n, edges))
+    expected = oracles.hop_counts(n, edges)
+    finite = np.isfinite(expected)
+    assert got.d.tobytes() == expected.tobytes()
+    assert got.connected is bool(finite.all())
+    assert got.diameter == float(expected[finite].max())
+    assert got.integer_valued
+
+
+def test_hop_counts_on_a_long_path_and_cycle():
+    # long diameters, which random graphs rarely have: |i - j| and min(|i - j|, n - |i - j|)
+    for n, edges, closed_form in (
+        (300, [(v, v + 1) for v in range(299)], lambda gap: gap),
+        (301, _cycle_edges(301), lambda gap: np.minimum(gap, 301 - gap)),
+    ):
+        ids = np.arange(n)
+        expected = closed_form(np.abs(ids[:, None] - ids[None, :])).astype(np.float64)
+        D = shortest_path_matrix(Graph.from_edges(n, edges))
+        assert D.d.tobytes() == expected.tobytes()
+        assert D.connected and D.diameter == expected.max()
+
+
 @settings(max_examples=300, deadline=None)
 @given(D=small_metrics(), data=st.data())
 def test_rho_minmax_matches_loop_reference(D, data):
