@@ -36,9 +36,7 @@ from .metric import (
     DistanceMatrix,
     EmptyResultError,
     Graph,
-    GromovProducts,
     InputError,
-    TripleShape,
     distance_matrix_from_array,
     gromov_products,
     lambda_measure,

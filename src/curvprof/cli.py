@@ -36,6 +36,8 @@ from .profile import (
     RHO_CIRCLE,
     RHO_PLANE,
     RHO_TREE,
+    _write_csv,
+    _write_json,
     build_profile,
     load_profile_json,
     rho_general,
@@ -240,16 +242,16 @@ def cmd_rho(args):
     if not D.is_connected_triple(v1, v2, v3):
         raise InputError("triple spans disconnected components")
     d12, d13, d23 = D.d[v1, v2], D.d[v1, v3], D.d[v2, v3]
-    g = gromov_products(d12, d13, d23)
-    shape = lambda_measure(d12, d13, d23)
+    r1, r2, r3 = gromov_products(d12, d13, d23)
+    lam, degenerate, equilateral = lambda_measure(d12, d13, d23)
     rho, witness = rho_general(D, v1, v2, v3)
     print(f"d({v1},{v2}) = {d12:g}   d({v1},{v3}) = {d13:g}   d({v2},{v3}) = {d23:g}")
-    print(f"gromov products: r1 = {g.r1:g}, r2 = {g.r2:g}, r3 = {g.r3:g}")
-    print(f"lambda = {shape.lam:.6f}"
-          + ("  (equilateral)" if shape.is_equilateral else "")
-          + ("  (degenerate)" if shape.is_degenerate else ""))
+    print(f"gromov products: r1 = {r1:g}, r2 = {r2:g}, r3 = {r3:g}")
+    print(f"lambda = {lam:.6f}"
+          + ("  (equilateral)" if equilateral else "")
+          + ("  (degenerate)" if degenerate else ""))
     print(f"rho = {rho:.6f}   witness vertex = {witness}")
-    if shape.is_equilateral:
+    if equilateral:
         rhos, witnesses = rho_minmax(D, [sorted((v1, v2, v3))])
         print(f"equilateral min-max rho = {rhos[0]:.6f}   witness = {witnesses[0]}")
     return EXIT_OK
@@ -281,9 +283,7 @@ def cmd_embed(args):
             "top_eigenvalues": [float(x) for x in res.eigenvalues[: min(10, len(res.eigenvalues))]],
         }
         print(f"d={d}: wrote {path} (stress {res.stress:.4f})")
-    with open(f"{out}.embed.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{out}.embed.json", report)
     return EXIT_OK
 
 
@@ -309,9 +309,7 @@ def cmd_compare(args):
         "config": _resolved_config(args, "compare"),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
     print(f"w1 = {cost!r}")
     return EXIT_OK
 
@@ -366,19 +364,8 @@ def cmd_estimate_dim(args):
         if w1 == float("inf"):
             print(f"note: dimension {d} produced no equilateral structure (w1 = inf)", file=sys.stderr)
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
-    with open(f"{out}.dimcurve.csv", "w") as fh:
-        fh.write(f"# {_config_comment(cfg)}\n")
-        fh.write("d,w1\n")
-        for d, w1 in curve:
-            fh.write(f"{d},{w1!r}\n")
-    with open(f"{out}.dim.json", "w") as fh:
-        json.dump(
-            {"d_best": d_best, "curve": [[d, w] for d, w in curve], "config": cfg},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_csv(f"{out}.dimcurve.csv", _config_comment(cfg), "d,w1", (f"{d},{w1!r}\n" for d, w1 in curve))
+    _write_json(f"{out}.dim.json", {"d_best": d_best, "curve": [[d, w] for d, w in curve], "config": cfg})
     for d, w1 in curve:
         print(f"d={d} w1={w1:.6g}")
     print(f"d_best = {d_best}")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graphs import PointCloud, _pairwise, knn_graph, load_point_cloud
 from .metric import Graph, InputError, distance_matrix_from_array, shortest_path_matrix
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,6 @@ class EmbeddingResult:
 
     points: PointCloud
     eigenvalues: np.ndarray
-    d: int
     stress: float
     n_clamped: int
     kept_indices: np.ndarray | None = None
@@ -56,7 +57,7 @@ def classical_mds(D, d) -> EmbeddingResult:
         pivot = np.argmax(np.abs(coords[:, col]))
         if coords[pivot, col] < 0:
             coords[:, col] = -coords[:, col]
-    return _leading(EmbeddingResult(PointCloud(coords=coords), evals, d, 0.0, 0), d)
+    return _leading(EmbeddingResult(PointCloud(coords=coords), evals, 0.0, 0), d)
 
 
 def _leading(res: EmbeddingResult, d) -> EmbeddingResult:
@@ -72,7 +73,6 @@ def _leading(res: EmbeddingResult, d) -> EmbeddingResult:
     return EmbeddingResult(
         points=PointCloud(coords=res.points.coords[:, :d]),
         eigenvalues=res.eigenvalues,
-        d=d,
         stress=stress,
         n_clamped=int(np.sum(top < 0)),
         kept_indices=res.kept_indices,
@@ -85,7 +85,7 @@ def isomap(data, k, d) -> EmbeddingResult:
     Accepts a PointCloud or a DistanceMatrix to build the kNN graph from,
     or an already-built Graph. A disconnected graph is reduced to its
     largest component, the one of the lowest vertex id on ties, with a
-    warning.
+    logged warning.
     """
     if isinstance(data, Graph):
         g = data
@@ -97,9 +97,8 @@ def isomap(data, k, d) -> EmbeddingResult:
     # a vertex's finite row entries are its component
     finite = np.isfinite(Dm.d)
     kept = np.flatnonzero(finite[finite.sum(axis=1).argmax()])
-    warnings.warn(
-        f"kNN graph is disconnected; embedding the largest component ({kept.size} of {g.n} points)",
-        stacklevel=2,
+    logger.warning(
+        "kNN graph is disconnected; embedding the largest component (%d of %d points)", kept.size, g.n
     )
     res = classical_mds(distance_matrix_from_array(Dm.d[np.ix_(kept, kept)]), d)
     return replace(res, kept_indices=kept)

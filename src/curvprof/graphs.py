@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .metric import DistanceMatrix, Graph, InputError, _read_csv
 
@@ -58,7 +58,7 @@ def _pairwise(data):
     disconnected pairs (``inf`` entries), is an InputError.
     """
     if isinstance(data, PointCloud):
-        return squareform(pdist(data.coords))
+        return cdist(data.coords, data.coords)
     if not isinstance(data, DistanceMatrix):
         raise InputError(f"expected a PointCloud or a DistanceMatrix, got {type(data).__name__}")
     if not data.connected:
@@ -113,9 +113,7 @@ def knn_graph(data, k) -> Graph:
     if k < 1:
         raise InputError("k must be >= 1")
     idx, dist = _neighbor_lists(data, k)
-    return _graph_from_neighbor_selection(
-        idx, dist, np.full(data.n, k), params={"rule": "knn", "k": int(k)}
-    )
+    return _graph_from_neighbor_selection(idx, dist, np.full(data.n, k))
 
 
 def epsilon_graph(data, eps) -> Graph:
@@ -126,9 +124,7 @@ def epsilon_graph(data, eps) -> Graph:
     for lo, d in _row_blocks(data):
         r, c = np.nonzero(np.triu(d <= eps, k=lo + 1))  # the pairs (lo + r, c) with c > lo + r
         edges.append(np.column_stack((r + lo, c, d[r, c])))
-    return Graph.from_edges(
-        data.n, np.concatenate(edges), params={"rule": "epsilon", "eps": float(eps)}
-    )
+    return Graph.from_edges(data.n, np.concatenate(edges))
 
 
 def _scores(dist, k_min, k_max, direction):
@@ -165,20 +161,10 @@ def adaptive_graph(data, k_min, k_max, direction="asc") -> Graph:
     if direction not in ("asc", "desc"):
         raise InputError("direction must be 'asc' or 'desc'")
     idx, dist = _neighbor_lists(data, k_max)
-    return _graph_from_neighbor_selection(
-        idx,
-        dist,
-        _scores(dist, k_min, k_max, direction),
-        params={
-            "rule": "adaptive",
-            "k_min": int(k_min),
-            "k_max": int(k_max),
-            "direction": direction,
-        },
-    )
+    return _graph_from_neighbor_selection(idx, dist, _scores(dist, k_min, k_max, direction))
 
 
-def _graph_from_neighbor_selection(idx, dist, k_per_point, params):
+def _graph_from_neighbor_selection(idx, dist, k_per_point):
     """Union-symmetrized edge set from per-point neighbor selections.
 
     Point i selects its first k_per_point[i] neighbors; an edge chosen from
@@ -190,9 +176,7 @@ def _graph_from_neighbor_selection(idx, dist, k_per_point, params):
     cols = idx[take]
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     _, first = np.unique(lo * n + hi, return_index=True)
-    return Graph.from_edges(
-        n, np.column_stack((lo[first], hi[first], dist[take][first])), params=params
-    )
+    return Graph.from_edges(n, np.column_stack((lo[first], hi[first], dist[take][first])))
 
 
 def load_point_cloud(path) -> PointCloud:

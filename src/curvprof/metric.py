@@ -36,8 +36,8 @@ class Graph:
 
     ``i``, ``j``, ``w`` are read-only arrays with i < j, sorted by (i, j),
     and w >= 0; zero weights are allowed because neighborhood graphs over
-    point clouds may contain coincident points. ``params`` records how the
-    graph was constructed.
+    point clouds may contain coincident points. ``params`` records how a
+    generated or loaded graph was made; neighborhood graphs leave it None.
     """
 
     n: int
@@ -133,27 +133,6 @@ class DistanceMatrix:
         if c <= 0:
             raise InputError("scale factor must be positive")
         return _finalize_distance_matrix(self.d * c)
-
-
-@dataclass(frozen=True)
-class GromovProducts:
-    """The unique r1, r2, r3 with r_i + r_j = d(x_i, x_j)."""
-
-    r1: float
-    r2: float
-    r3: float
-
-    def as_array(self):
-        return np.array([self.r1, self.r2, self.r3])
-
-
-@dataclass(frozen=True)
-class TripleShape:
-    """Shape measure of a metric triple: 1 = collinear, 2 = equilateral."""
-
-    lam: float
-    is_degenerate: bool
-    is_equilateral: bool
 
 
 def _finalize_distance_matrix(d):
@@ -271,8 +250,8 @@ def distance_matrix_from_array(arr) -> DistanceMatrix:
     return _finalize_distance_matrix(d)
 
 
-def gromov_products(d12, d13, d23) -> GromovProducts:
-    """Solve r_i + r_j = d(x_i, x_j) for the three ball radii.
+def gromov_products(d12, d13, d23) -> tuple[float, float, float]:
+    """Solve r_i + r_j = d(x_i, x_j) for the three ball radii ``(r1, r2, r3)``.
 
     A negative component signals a triangle-inequality violation; it is
     reported, not raised, so the caller can decide.
@@ -282,16 +261,17 @@ def gromov_products(d12, d13, d23) -> GromovProducts:
     r1 = 0.5 * (d12 + d13 - d23)
     r2 = 0.5 * (d12 + d23 - d13)
     r3 = 0.5 * (d13 + d23 - d12)
-    return GromovProducts(r1=r1, r2=r2, r3=r3)
+    return r1, r2, r3
 
 
-def lambda_measure(d12, d13, d23) -> TripleShape:
+def lambda_measure(d12, d13, d23) -> tuple[float, bool, bool]:
     """Largest alpha with alpha*d(x_i,x_j) <= d(x_i,x_k) + d(x_j,x_k) for all pairs.
 
     Closed form: the binding constraint is the longest side, so
     lam = (perimeter - d_max) / d_max. Ranges over [1, 2] on metric triples;
-    1 means collinear, 2 equilateral. Both flags use the relative
-    tolerance ``EXACT_SIDE_RTOL``.
+    1 means collinear, 2 equilateral. Returns ``(lam, is_degenerate,
+    is_equilateral)``; both flags use the relative tolerance
+    ``EXACT_SIDE_RTOL``.
     """
     sides = (float(d12), float(d13), float(d23))
     if min(sides) <= 0:
@@ -300,7 +280,7 @@ def lambda_measure(d12, d13, d23) -> TripleShape:
     lam = (sum(sides) - d_max) / d_max
     is_equilateral = (d_max - min(sides)) <= EXACT_SIDE_RTOL * d_max
     is_degenerate = lam <= 1.0 + EXACT_SIDE_RTOL
-    return TripleShape(lam=lam, is_degenerate=is_degenerate, is_equilateral=is_equilateral)
+    return lam, is_degenerate, is_equilateral
 
 
 def _read_text(path):

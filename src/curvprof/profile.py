@@ -214,8 +214,7 @@ def rho_general(D, v1, v2, v3):
     if not D.is_connected_triple(v1, v2, v3):
         raise InputError("triple spans disconnected components")
     d12, d13, d23 = float(D.d[v1, v2]), float(D.d[v1, v3]), float(D.d[v2, v3])
-    g = gromov_products(d12, d13, d23)
-    rvec = g.as_array()
+    rvec = np.array(gromov_products(d12, d13, d23))
     scale = max(d12, d13, d23)
     if scale <= 0:
         raise InputError("coincident triple: all distances zero")
@@ -362,9 +361,7 @@ def profile_from_dict(data) -> CurvatureProfile:
 
 
 def save_profile_json(p: CurvatureProfile, path):
-    with open(path, "w") as fh:
-        json.dump(profile_to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, profile_to_dict(p))
 
 
 def load_profile_json(path) -> CurvatureProfile:
@@ -373,6 +370,12 @@ def load_profile_json(path) -> CurvatureProfile:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     return profile_from_dict(data)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path, header_comment, columns, lines):

@@ -11,7 +11,7 @@ linear program on the occupied nodes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -62,7 +62,6 @@ class ProfileDistribution:
     support: np.ndarray
     mass: np.ndarray
     grid: GridSpec
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.support.shape[0] != self.mass.shape[0]:
@@ -87,10 +86,9 @@ def to_distribution(profile: CurvatureProfile, grid=None, normalize_r=True) -> P
     if profile.is_empty:
         raise EmptyResultError("cannot build a distribution from an empty profile")
     grid = grid or GridSpec()
-    max_r = profile.max_r()
     r = np.array([rec.r for rec in profile.records])
     if normalize_r:
-        r /= max_r
+        r /= profile.max_r()
     obs = np.column_stack((
         np.repeat(r, [rec.count for rec in profile.records]),
         np.concatenate([rec.rho_values for rec in profile.records]),
@@ -99,12 +97,7 @@ def to_distribution(profile: CurvatureProfile, grid=None, normalize_r=True) -> P
     _, node_idx = cKDTree(nodes).query(obs)
     occupied, counts = np.unique(node_idx, return_counts=True)
     mass = counts / counts.sum()
-    return ProfileDistribution(
-        support=nodes[occupied],
-        mass=mass.astype(np.float64),
-        grid=grid,
-        meta={"total_triangles": int(counts.sum()), "max_r": max_r, "normalize_r": normalize_r},
-    )
+    return ProfileDistribution(support=nodes[occupied], mass=mass.astype(np.float64), grid=grid)
 
 
 def _dist_key(dist):

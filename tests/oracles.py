@@ -8,7 +8,12 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
+
+
+def euclidean_matrix(coords):
+    """Dense Euclidean distances between the rows of ``coords``, by ``pdist``."""
+    return squareform(pdist(coords))
 
 
 def floyd_warshall(n, edges):

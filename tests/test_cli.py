@@ -123,28 +123,6 @@ class TestRhoCommand:
         assert "witness vertex = 0" in out
         assert "(equilateral)" in out
 
-    def test_c6_triple(self, tmp_path, capsys):
-        inp = tmp_path / "c6.edges"
-        write_cycle(inp)
-        rc = cli.main(["rho", str(inp), "0", "2", "4"])
-        assert rc == 0
-        assert "rho = 2.000000" in capsys.readouterr().out
-
-    def test_non_equilateral_reports_lambda(self, tmp_path, capsys):
-        # triangle with a tail: {0,1,3} has sides (1, 2, 2) -> lambda 1.5
-        inp = tmp_path / "p.edges"
-        inp.write_text("0 1\n1 2\n0 2\n2 3\n")
-        rc = cli.main(["rho", str(inp), "0", "1", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "lambda = 1.500000" in out
-        assert "rho =" in out
-
-    def test_cross_component_exits_2(self, tmp_path):
-        inp = tmp_path / "two.edges"
-        inp.write_text("0 1\n2 3\n")
-        assert cli.main(["rho", str(inp), "0", "1", "2"]) == 2
-
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     @pytest.mark.parametrize("argv", [["profile", "{}", "-m", "1.0"], ["rho", "{}", "0", "1", "2"]],
                              ids=lambda argv: argv[0])
@@ -155,6 +133,45 @@ class TestRhoCommand:
         assert cli.main([a.format(inp) for a in argv]) == 2
         assert f"non-finite edge weight {weight} on (0,1)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [inp]
+
+    @pytest.mark.parametrize(
+        "name, content, triple, expected",
+        [
+            ("c6.edges", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", "0 2 4",
+             "d(0,2) = 2   d(0,4) = 2   d(2,4) = 2\n"
+             "gromov products: r1 = 1, r2 = 1, r3 = 1\n"
+             "lambda = 2.000000  (equilateral)\n"
+             "rho = 2.000000   witness vertex = 0\n"
+             "equilateral min-max rho = 2.000000   witness = 0\n"),
+            # triangle with a tail: {0,1,3} has sides (1, 2, 2) -> lambda 1.5
+            ("tail.edges", "0 1\n1 2\n0 2\n2 3\n", "0 1 3",
+             "d(0,1) = 1   d(0,3) = 2   d(1,3) = 2\n"
+             "gromov products: r1 = 0.5, r2 = 0.5, r3 = 1.5\n"
+             "lambda = 1.500000\n"
+             "rho = 2.000000   witness vertex = 0\n"),
+        ],
+        ids=["c6", "triangle-with-tail"],
+    )
+    def test_report_text(self, tmp_path, capsys, name, content, triple, expected):
+        inp = tmp_path / name
+        inp.write_text(content)
+        assert cli.main(["rho", str(inp), *triple.split()]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("two.edges", "0 1\n2 3\n", "triple spans disconnected components"),
+            ("zero-side.csv", "0,0,1\n0,0,1\n1,1,0\n", "degenerate triple: zero side length (coincident points)"),
+            ("all-zero.csv", "0,0,0\n0,0,0\n0,0,0\n", "degenerate triple: zero side length (coincident points)"),
+        ],
+        ids=["cross-component", "one-zero-side", "all-zero"],
+    )
+    def test_rejected_triple_text(self, tmp_path, capsys, name, content, message):
+        inp = tmp_path / name
+        inp.write_text(content)
+        assert cli.main(["rho", str(inp), "0", "1", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_distance_matrix_honours_graph_rule(self, tmp_path, capsys):
         # a 5-point line metric: at eps 0.5 the epsilon graph has no edges
@@ -316,7 +333,7 @@ class TestEmbedCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
 
     @pytest.mark.parametrize("blobs", [(30, 12), (30,)])
-    def test_isomap_report_names_the_kept_rows(self, tmp_path, blobs):
+    def test_isomap_report_names_the_kept_rows(self, tmp_path, caplog, blobs):
         rng = np.random.default_rng(4)
         # far-apart blobs give a disconnected kNN graph; the larger one is kept
         coords = np.vstack([rng.normal(size=(n, 2)) + 100.0 * b for b, n in enumerate(blobs)])
@@ -324,17 +341,24 @@ class TestEmbedCommand:
         inp = tmp_path / "two.csv"
         np.savetxt(inp, coords[order], delimiter=",")
         argv = ["embed", str(inp), "--method", "isomap", "--k", "4", "--dims", "2", "--out", str(tmp_path / "two")]
-        if len(blobs) > 1:
-            with pytest.warns(UserWarning, match="largest component"):
-                assert cli.main(argv) == 0
-        else:
+        with caplog.at_level("WARNING", logger="curvprof.embed"):
             assert cli.main(argv) == 0
+        assert ("largest component" in caplog.text) == (len(blobs) > 1)
         report = json.loads((tmp_path / "two.embed.json").read_text())
         if len(blobs) == 1:
             assert report["kept_indices"] is None
             return
         assert report["kept_indices"] == np.flatnonzero(order < blobs[0]).tolist()
         assert np.loadtxt(tmp_path / "two.d2.csv", delimiter=",").shape == (blobs[0], 2)
+
+    def test_isomap_notice_names_no_source_line(self, tmp_path):
+        # two disjoint triangles; the notice is a log record, not a warning with the caller's path and line
+        (tmp_path / "two.edges").write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        argv = [sys.executable, "-m", "curvprof.cli", "embed", "two.edges", "--method", "isomap", "--dims", "1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(curvprof.__file__).resolve().parents[1])}
+        proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "kNN graph is disconnected; embedding the largest component (3 of 6 points)\n"
 
 
 class TestEstimateDimCommand:

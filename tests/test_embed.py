@@ -106,12 +106,13 @@ class TestIsomap:
         res = isomap(g, k=0, d=2)
         assert res.points.n == 4
 
-    def test_disconnected_keeps_largest_component(self):
+    def test_disconnected_keeps_largest_component(self, caplog):
         coords = np.vstack(
             [np.random.default_rng(4).random((10, 2)), 100.0 + np.random.default_rng(5).random((4, 2))]
         )
-        with pytest.warns(UserWarning, match="largest component"):
+        with caplog.at_level("WARNING", logger="curvprof.embed"):
             res = isomap(PointCloud(coords=coords), k=2, d=2)
+        assert "largest component (10 of 14 points)" in caplog.text
         assert res.kept_indices is not None
         assert len(res.kept_indices) == 10
         assert res.points.n == 10

@@ -154,7 +154,6 @@ class TestAdaptiveGraph:
         rows = []
         real_cdist = graphs_mod.cdist
         monkeypatch.setattr(graphs_mod, "cdist", lambda a, b: rows.append(len(a)) or real_cdist(a, b))
-        monkeypatch.setattr(graphs_mod, "pdist", None)
         adaptive_graph(PointCloud(coords=np.random.default_rng(5).random((80, 2))), 3, 6)
         assert sum(rows) == 80  # every distance row once, no full matrix
 

@@ -122,36 +122,33 @@ class TestShortestPaths:
 
 class TestGromovProducts:
     def test_equilateral(self):
-        g = gromov_products(2, 2, 2)
-        assert (g.r1, g.r2, g.r3) == (1, 1, 1)
+        assert gromov_products(2, 2, 2) == (1, 1, 1)
 
     def test_3_4_5(self):
         g = gromov_products(3, 4, 5)
-        assert (g.r1, g.r2, g.r3) == (1, 2, 3)
+        assert g == (1, 2, 3)
         # cross-check against straight linear-system solve
         A = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
         expected = np.linalg.solve(A, np.array([3.0, 4.0, 5.0]))
-        assert np.allclose(g.as_array(), expected)
+        assert np.allclose(g, expected)
 
     def test_collinear(self):
-        g = gromov_products(2, 1, 1)
-        assert (g.r1, g.r2, g.r3) == (1, 1, 0)
+        assert gromov_products(2, 1, 1) == (1, 1, 0)
 
     def test_defining_equations_hold_on_random_triples(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a, b = rng.uniform(0.1, 10, 2)
             c = rng.uniform(abs(a - b), a + b)
-            g = gromov_products(a, b, c)
-            assert abs((g.r1 + g.r2) - a) <= 1e-12 * max(1, a)
-            assert abs((g.r1 + g.r3) - b) <= 1e-12 * max(1, b)
-            assert abs((g.r2 + g.r3) - c) <= 1e-12 * max(1, c)
+            r1, r2, r3 = gromov_products(a, b, c)
+            assert abs((r1 + r2) - a) <= 1e-12 * max(1, a)
+            assert abs((r1 + r3) - b) <= 1e-12 * max(1, b)
+            assert abs((r2 + r3) - c) <= 1e-12 * max(1, c)
             # all three are nonnegative exactly when the triangle inequality holds
-            assert min(g.r1, g.r2, g.r3) >= 0
+            assert min(r1, r2, r3) >= 0
 
     def test_triangle_violation_flagged_not_raised(self):
-        g = gromov_products(10, 1, 1)
-        assert min(g.r1, g.r2, g.r3) < 0
+        assert min(gromov_products(10, 1, 1)) < 0
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):
@@ -160,23 +157,22 @@ class TestGromovProducts:
 
 class TestLambdaMeasure:
     def test_equilateral_gives_two(self):
-        assert lambda_measure(2, 2, 2).lam == 2.0
-        assert lambda_measure(2, 2, 2).is_equilateral
+        assert lambda_measure(2, 2, 2) == (2.0, False, True)
 
     def test_collinear_gives_one(self):
-        s = lambda_measure(2, 1, 1)
-        assert s.lam == 1.0
-        assert s.is_degenerate
+        assert lambda_measure(2, 1, 1) == (1.0, True, False)
 
     def test_3_4_5(self):
-        assert lambda_measure(3, 4, 5).lam == pytest.approx(1.4, abs=1e-12)
+        lam, degenerate, equilateral = lambda_measure(3, 4, 5)
+        assert lam == pytest.approx(1.4, abs=1e-12)
+        assert not degenerate and not equilateral
 
     def test_closed_form_matches_alpha_scan(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b = rng.uniform(0.5, 5, 2)
             c = rng.uniform(abs(a - b) + 1e-6, a + b - 1e-6)
-            lam = lambda_measure(a, b, c).lam
+            lam = lambda_measure(a, b, c)[0]
             scan = oracles.lambda_alpha_scan(a, b, c)
             assert scan is not None
             assert abs(lam - scan) <= 2.0 / 400000
@@ -187,8 +183,8 @@ class TestLambdaMeasure:
         D = shortest_path_matrix(Graph.from_edges(20, edges))
         for _ in range(200):
             i, j, k = rng.choice(20, size=3, replace=False)
-            s = lambda_measure(D.d[i, j], D.d[i, k], D.d[j, k])
-            assert 1.0 <= s.lam <= 2.0
+            lam = lambda_measure(D.d[i, j], D.d[i, k], D.d[j, k])[0]
+            assert 1.0 <= lam <= 2.0
 
     def test_zero_side_rejected(self):
         with pytest.raises(InputError):

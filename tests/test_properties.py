@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist, squareform
 
 import oracles
 from curvprof import (
@@ -29,7 +28,7 @@ from curvprof import (
     transport,
     wasserstein1,
 )
-from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists
+from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists, _pairwise
 from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import (
     _RHO_RANGE_SLACK,
@@ -86,7 +85,7 @@ def neighbor_selections(draw):
 @given(sel=neighbor_selections())
 def test_neighbor_selection_matches_loop_reference(sel):
     idx, dist, k_per_point = sel
-    g = _graph_from_neighbor_selection(idx, dist, k_per_point, params=None)
+    g = _graph_from_neighbor_selection(idx, dist, k_per_point)
     expected = oracles.neighbor_selection_loop(idx, dist, k_per_point)
     assert (g.i.tolist(), g.j.tolist(), g.w.tolist()) == (
         [e[0] for e in expected],
@@ -101,7 +100,31 @@ def _lattice(n, dim, seed, levels=3):
 
 
 def _as_metric(coords):
-    return distance_matrix_from_array(squareform(pdist(coords)))
+    return distance_matrix_from_array(oracles.euclidean_matrix(coords))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    dim=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["uniform", "spread", "integer", "lattice"]),
+)
+@example(n=2, dim=1, seed=0, kind="integer")
+@example(n=300, dim=60, seed=1, kind="spread")
+def test_pairwise_of_a_point_cloud_equals_pdist(n, dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        coords = _lattice(n, dim, seed)
+    elif kind == "spread":  # coordinates across six orders of magnitude
+        coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, (n, dim))
+    else:
+        coords = 50.0 * rng.random((n, dim))
+        if kind == "integer":
+            coords = np.rint(coords)
+    got = _pairwise(PointCloud(coords=coords))
+    assert got.dtype == np.float64 and got.shape == (n, n)
+    assert got.tobytes() == oracles.euclidean_matrix(coords).tobytes()
 
 
 @st.composite
@@ -142,7 +165,7 @@ def test_neighbor_lists_equal_the_argsort_reference(inp):
 @example(inp=(_as_metric(_lattice(600, 2, seed=2)), 5, 1.5))
 def test_epsilon_graph_equals_the_dense_threshold(inp):
     data, _, eps = inp
-    D = data.d if isinstance(data, DistanceMatrix) else squareform(pdist(data.coords))
+    D = data.d if isinstance(data, DistanceMatrix) else oracles.euclidean_matrix(data.coords)
     i, j = np.nonzero(np.triu(D <= eps, 1))
     g = epsilon_graph(data, eps)
     assert np.array_equal(g.i, i)
@@ -502,7 +525,6 @@ def test_to_distribution_matches_loop_reference(records, nr, nrho, normalize_r):
     assert [q.tobytes() for q in queried] == [obs.tobytes()]
     assert got.support.tobytes() == support.tobytes()
     assert got.mass.tobytes() == mass.tobytes()
-    assert got.meta["total_triangles"] == sum(len(v) for _, v in records)
 
 
 def _draw_measure(draw, grid, max_nodes):
