@@ -153,7 +153,7 @@ def _finalize_distance_matrix(d):
 
 
 def _hop_counts(graph: Graph):
-    """Hop counts of an unweighted graph, and its number of BFS levels.
+    """Hop counts of an unweighted graph as a DistanceMatrix, and its number of BFS levels.
 
     One BFS runs out of every vertex at once (Then et al., "The More the
     Merrier", PVLDB 2014): row v of a bitset, 64 sources to a uint64 word,
@@ -162,6 +162,10 @@ def _hop_counts(graph: Graph):
     are sorted by degree, so neighbour slot k updates the prefix of rows of
     degree > k in place. Plane b of the bit-sliced result holds bit b of
     every distance.
+
+    The flags need no scan of the matrix: hop counts are integers, the
+    largest finite one is the number of levels, and the graph is connected
+    when no pair is left unreached.
     """
     n, words = graph.n, -(-graph.n // 64)
     ends, others = np.concatenate((graph.i, graph.j)), np.concatenate((graph.j, graph.i))
@@ -202,8 +206,10 @@ def _hop_counts(graph: Graph):
         acc |= np.left_shift(unpack(plane), b, dtype=acc.dtype)
     d = acc.astype(np.float64)
     del acc
-    d[unpack(unreached).view(bool)] = np.inf
-    return d, levels
+    apart = unpack(unreached).view(bool)
+    d[apart] = np.inf
+    D = DistanceMatrix(d=d, connected=not apart.any(), diameter=float(levels), integer_valued=True)
+    return D, levels
 
 
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
@@ -218,12 +224,12 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     if np.any(graph.w < 0):
         raise InputError("negative edge weights are not supported")
     if graph.is_unweighted:
-        d, levels = _hop_counts(graph)
+        D, levels = _hop_counts(graph)
         logger.debug("shortest paths: solver=bfs n=%d edges=%d levels=%d", graph.n, graph.i.size, levels)
-    else:
-        adjacency = coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
-        d = shortest_path(adjacency, method="auto", directed=False)  # zero-weight edges kept
-        logger.debug("shortest paths: solver=dijkstra n=%d edges=%d", graph.n, graph.i.size)
+        return D
+    adjacency = coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
+    d = shortest_path(adjacency, method="auto", directed=False)  # zero-weight edges kept
+    logger.debug("shortest paths: solver=dijkstra n=%d edges=%d", graph.n, graph.i.size)
     return _finalize_distance_matrix(d)
 
 

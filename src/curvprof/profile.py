@@ -15,6 +15,7 @@ diameter.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import DistanceMatrix, InputError, _read_text, gromov_products
+
+logger = logging.getLogger(__name__)
 
 # reference levels shown as horizontal guide lines on profile plots
 RHO_TREE = 1.0
@@ -34,6 +37,7 @@ _RHO_RANGE_SLACK = 1e-9
 
 DEFAULT_SIDE_BINS = 50
 _EDGE_CHUNK = 8192  # side edges per step of the triple search: bounds its two gathers
+_WINDOW_TESTS = 2048  # edge tests a round of the triple search aims at
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,62 @@ def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
     return np.array(sorted(subset), dtype=np.int64)
 
 
+def _hits(words, s, j):
+    """Whether each side edge (s, j) has a common active partner: one AND of rows s and j.
+
+    ``words`` holds the packed rows word-major; edge chunks keep the two
+    gathers small and the OR over words contiguous.
+    """
+    hit = np.empty(s.size, dtype=bool)
+    for lo in range(0, s.size, _EDGE_CHUNK):
+        common = words.take(s[lo : lo + _EDGE_CHUNK], axis=1)
+        common &= words.take(j[lo : lo + _EDGE_CHUNK], axis=1)
+        common.any(axis=0, out=hit[lo : lo + _EDGE_CHUNK])
+    return hit
+
+
+def _run_starts(x):
+    """Mask of the entries of ``x`` that differ from the one before; the first entry is one."""
+    return np.concatenate(([True], x[1:] != x[:-1])) if x.size else x.astype(bool)
+
+
+def _first_hits(words, s, j, deg, n_active):
+    """Each row's first side edge with a hit, as sorted edge indices; plus edges tested and rounds.
+
+    Rows are tested by rank windows: round 0 tests ranks ``[0, w)`` of the
+    ``n_active`` rows with ``deg >= 2``, where ``w = max(1, _WINDOW_TESTS //
+    n_active)``; a row with a hit keeps its lowest-rank one and drops out,
+    and the rows left test the next ``max(2w, _WINDOW_TESTS // rows left)``
+    ranks. When every row fits the first window, all edges are tested in
+    one pass.
+    """
+    w = max(1, _WINDOW_TESTS // n_active)
+    if w >= deg.max():
+        pos = np.flatnonzero(_hits(words, s, j))
+        return pos[_run_starts(s[pos])], s.size, 1
+    live = np.flatnonzero(deg >= 2)
+    start = np.cumsum(deg) - deg  # row v's edges are start[v] + rank
+    found, lo, tested, rounds = [], 0, 0, 1
+    while True:
+        take = np.minimum(deg[live] - lo, w)
+        ends = np.cumsum(take)
+        # edge ids of ranks [lo, lo + take) of every live row, row by row
+        idx = np.arange(ends[-1]) + np.repeat(start[live] + lo - (ends - take), take)
+        pos = np.flatnonzero(_hits(words, s[idx], j[idx]))
+        owner = np.searchsorted(ends, pos, side="right")
+        first = _run_starts(owner)
+        found.append(idx[pos[first]])
+        tested += idx.size
+        lo += w
+        left = deg[live] > lo
+        left[owner[first]] = False
+        live = live[left]
+        if not live.size:
+            return np.sort(np.concatenate(found)), tested, rounds
+        w = max(2 * w, _WINDOW_TESTS // live.size)
+        rounds += 1
+
+
 def find_equilateral_triples(D, A, m=1.0, seed=0):
     """Sampled equilateral triples at one scale.
 
@@ -130,13 +190,18 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
     entries are the vertex pairs at this side (``_side_keys(D, h) == k``
     in :func:`build_profile`); its rows are read as given and packed into
     bitsets. Every vertex on at least one triangle of ``A`` is a candidate:
-    one AND of rows s and j tests a side edge (s, j) for a common partner.
+    one AND of rows s and j tests a side edge (s, j) for a common partner,
+    and a row's first side edge with a hit, in column order, is its pick.
+    Rows stop being tested at that edge: each active row (>= 2 partners)
+    tests its edges in rank windows, about ``_WINDOW_TESTS`` tests a round,
+    and leaves once it has a hit (see :func:`_first_hits`).
+
     ceil(m * N) candidates are drawn uniformly (all of them if fewer). A
-    sampled vertex takes its first side partner on a triangle with it, then
-    the first common partner of the two: the first triple of a lexicographic
-    pair scan. Duplicated vertex sets are merged, so the result has at most
-    the sample size many triples: a sorted list of ``(a, b, c)`` vertex-id
-    tuples with ``a < b < c``.
+    sampled vertex takes its pick (s, j), then the first common partner of
+    the two: the first triple of a lexicographic pair scan. Duplicated
+    vertex sets are merged, so the result has at most the sample size many
+    triples: a sorted list of ``(a, b, c)`` vertex-id tuples with
+    ``a < b < c``.
     """
     if not (0 < m <= 1):
         raise InputError("sample fraction m must lie in (0, 1]")
@@ -146,30 +211,25 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
     j = np.flatnonzero(A)
     s = j // D.n
     j %= D.n
-    active = np.bincount(s, minlength=D.n) >= 2
-    if np.count_nonzero(active) < 3:
-        return []
-    # rows[v]: an active v's active partners, bit c for vertex c, padded to
-    # whole little-endian uint64 words. Rows are read as given: a weighted side
-    # graph can be asymmetric by an ulp, and only rows make every pick close.
-    width = -(-D.n // 8)
-    rows = np.zeros((D.n, -(-width // 8) * 8), dtype=np.uint8)
-    rows[:, :width] = np.packbits(A, axis=1, bitorder="little") & np.packbits(active, bitorder="little")
-    rows[~active] = 0
-    # edge (s, j) hits if s and j share an active partner k; word-major
-    # chunks keep the gathers small and the OR over words contiguous
-    words = np.ascontiguousarray(rows.view("<u8").T)
-    hit = np.empty(s.size, dtype=bool)
-    for lo in range(0, s.size, _EDGE_CHUNK):
-        common = words.take(s[lo : lo + _EDGE_CHUNK], axis=1)
-        common &= words.take(j[lo : lo + _EDGE_CHUNK], axis=1)
-        common.any(axis=0, out=hit[lo : lo + _EDGE_CHUNK])
-    # a row's first hit is its pick (s, j); the rows with a hit are the candidates
-    first = np.flatnonzero(hit)
+    deg = np.bincount(s, minlength=D.n)
+    active = deg >= 2
+    n_active = np.count_nonzero(active)
+    first, tested, rounds = s[:0], 0, 0
+    if n_active >= 3:
+        # rows[v]: an active v's active partners, bit c for vertex c, padded to
+        # whole little-endian uint64 words. Rows are read as given: a weighted side
+        # graph can be asymmetric by an ulp, and only rows make every pick close.
+        width = -(-D.n // 8)
+        rows = np.zeros((D.n, -(-width // 8) * 8), dtype=np.uint8)
+        rows[:, :width] = np.packbits(A, axis=1, bitorder="little") & np.packbits(active, bitorder="little")
+        rows[~active] = 0
+        first, tested, rounds = _first_hits(np.ascontiguousarray(rows.view("<u8").T), s, j, deg, n_active)
+    logger.debug(
+        "triple search: n=%d side_edges=%d active=%d tested=%d rounds=%d candidates=%d",
+        D.n, s.size, n_active, tested, rounds, first.size,
+    )
     if first.size == 0:
         return []
-    row = s[first]
-    first = first[np.concatenate(([True], row[1:] != row[:-1]))]
 
     n_sample = math.ceil(m * D.n)
     if first.size > n_sample:

@@ -10,6 +10,7 @@ from curvprof import (
     build_profile,
     circle_arc_metric,
     circle_sample,
+    distance_matrix_from_array,
     find_equilateral_triples,
     profile_from_dict,
     rho_general,
@@ -84,6 +85,18 @@ class TestFindTriples:
             assert np.unique(keys).tolist() == [0, key]
             ts = find_equilateral_triples(D, keys == key, m=1.0, seed=0)
             assert ts == [(0, 1, 2), (3, 4, 5)]
+
+    def test_logs_one_line_and_stops_each_row_at_its_first_hit(self, caplog):
+        # a complete side graph: every row hits at its first edge, so each of the
+        # 300 rows tests only round 0's window of 2048 // 300 = 6 ranks, and
+        # 1800 of the 89700 listed edges (2 %) are tested
+        D = distance_matrix_from_array(1.0 - np.eye(300))
+        with caplog.at_level("DEBUG", logger="curvprof.profile"):
+            ts = find_equilateral_triples(D, sides(D, 1), m=1.0, seed=0)
+        assert ts == oracles.equilateral_triples_matmul(D, sides(D, 1), m=1.0, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "triple search: n=300 side_edges=89700 active=300 tested=1800 rounds=1 candidates=300"
+        ]
 
     def test_invalid_params(self):
         D = cycle(6)

@@ -28,10 +28,12 @@ from curvprof import (
     transport,
     wasserstein1,
 )
+from curvprof import profile as profile_module
 from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists, _pairwise
 from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import (
     _RHO_RANGE_SLACK,
+    _WINDOW_TESTS,
     DEFAULT_SIDE_BINS,
     ProfileRecord,
     _check_rho_range,
@@ -311,6 +313,70 @@ def test_triple_search_equals_the_matmul_reference(A, m, seed):
     assert all(type(t) is tuple and len(t) == 3 and all(type(v) is int for v in t) for t in got)
 
 
+def _hub_side_mask(n, hubs, density, seed, flips=0.0, late=True):
+    """Sparse random side graph whose first ``hubs`` rows join about half the rest.
+
+    No two partners of any hub are joined, so a hub has no hit, or (``late``)
+    a first hit only at its second-last partner, where its last two partners
+    are joined. Most other rows have no hit either. ``flips`` as in
+    :func:`_random_side_mask`.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < density, 1)
+    A |= A.T
+    partners = rng.random((min(hubs, n), n)) < 0.5
+    partners[:, :hubs] = False
+    joined = partners.any(axis=0)
+    A[np.ix_(joined, joined)] = False
+    A[:hubs] = partners
+    A[:, :hubs] = partners.T
+    for row in partners if late else ():
+        last = np.flatnonzero(row)[-2:]
+        if last.size == 2:
+            A[last[0], last[1]] = A[last[1], last[0]] = True
+    A ^= rng.random((n, n)) < flips
+    np.fill_diagonal(A, False)
+    return A
+
+
+hub_masks = st.builds(
+    _hub_side_mask,
+    n=st.integers(3, 300),
+    hubs=st.integers(0, 40),
+    density=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    seed=st.integers(0, 2**32 - 1),
+    flips=st.sampled_from([0.0, 0.0, 0.005]),
+    late=st.booleans(),
+)
+
+
+@pytest.mark.parametrize("window_tests", [_WINDOW_TESTS, 1], ids=["default", "one"])
+@settings(max_examples=150, deadline=None)
+@given(A=hub_masks, m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+# hub rows of degree about 150 against a first window of 6 ranks: five rounds
+# with late first hits and five with none; ulp-asymmetric flips give most rows
+# an early hit (two rounds)
+@example(A=_hub_side_mask(300, 40, 0.05, seed=0), m=1.0, seed=0)
+@example(A=_hub_side_mask(300, 40, 0.05, seed=0, late=False), m=1.0, seed=0)
+@example(A=_hub_side_mask(300, 40, 0.05, seed=1, flips=0.005), m=0.2, seed=1)
+def test_windowed_triple_search_equals_the_matmul_reference(window_tests, A, m, seed):
+    D = _metric_of_size(A.shape[0])
+    # a budget of one test a round makes round 0 one rank wide; windows then double
+    with mock.patch.object(profile_module, "_WINDOW_TESTS", window_tests):
+        got = find_equilateral_triples(D, A, m=m, seed=seed)
+    assert got == oracles.equilateral_triples_matmul(D, A, m=m, seed=seed)
+
+
+def test_hub_rows_take_several_windows(caplog):
+    # the examples above run at least three rounds at the default budget
+    D = _metric_of_size(300)
+    with caplog.at_level("DEBUG", logger="curvprof.profile"):
+        find_equilateral_triples(D, _hub_side_mask(300, 40, 0.05, seed=0))
+        find_equilateral_triples(D, _hub_side_mask(300, 40, 0.05, seed=0, late=False))
+    rounds = [int(re.search(r"rounds=(\d+)", r.getMessage()).group(1)) for r in caplog.records]
+    assert len(rounds) == 2 and min(rounds) >= 3
+
+
 near_integer = st.builds(
     lambda k, delta: k + delta,
     st.one_of(st.integers(0, 6), st.integers(0, 10**6)).map(float),
@@ -389,6 +455,9 @@ def _cycle_edges(n, start=0):
 @example(graph=(65, [(0, v) for v in range(1, 64)]))
 @example(graph=(128, _cycle_edges(64) + _cycle_edges(64, start=64)))
 @example(graph=(129, _cycle_edges(129)))
+# an edgeless graph and a single vertex: no BFS level at all
+@example(graph=(5, []))
+@example(graph=(1, []))
 def test_hop_counts_match_networkx_bfs(graph):
     n, edges = graph
     got = shortest_path_matrix(Graph.from_edges(n, edges))
@@ -398,6 +467,9 @@ def test_hop_counts_match_networkx_bfs(graph):
     assert got.connected is bool(finite.all())
     assert got.diameter == float(expected[finite].max())
     assert got.integer_valued
+    # the BFS sets the flags without scanning the matrix; the scan agrees
+    scan = _finalize_distance_matrix(got.d.copy())
+    assert (got.connected, got.diameter, got.integer_valued) == (scan.connected, scan.diameter, scan.integer_valued)
 
 
 def test_hop_counts_on_a_long_path_and_cycle():
