@@ -153,7 +153,7 @@ def _finalize_distance_matrix(d):
 
 
 def _hop_counts(graph: Graph):
-    """Hop counts of an unweighted graph as a DistanceMatrix, and its number of BFS levels.
+    """Hop counts of an unweighted graph as a DistanceMatrix.
 
     One BFS runs out of every vertex at once (Then et al., "The More the
     Merrier", PVLDB 2014): row v of a bitset, 64 sources to a uint64 word,
@@ -208,8 +208,7 @@ def _hop_counts(graph: Graph):
     del acc
     apart = unpack(unreached).view(bool)
     d[apart] = np.inf
-    D = DistanceMatrix(d=d, connected=not apart.any(), diameter=float(levels), integer_valued=True)
-    return D, levels
+    return DistanceMatrix(d=d, connected=not apart.any(), diameter=float(levels), integer_valued=True)
 
 
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
@@ -224,8 +223,8 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     if np.any(graph.w < 0):
         raise InputError("negative edge weights are not supported")
     if graph.is_unweighted:
-        D, levels = _hop_counts(graph)
-        logger.debug("shortest paths: solver=bfs n=%d edges=%d levels=%d", graph.n, graph.i.size, levels)
+        D = _hop_counts(graph)
+        logger.debug("shortest paths: solver=bfs n=%d edges=%d levels=%d", graph.n, graph.i.size, int(D.diameter))
         return D
     adjacency = coo_matrix((graph.w, (graph.i, graph.j)), shape=(graph.n, graph.n)).tocsr()
     d = shortest_path(adjacency, method="auto", directed=False)  # zero-weight edges kept

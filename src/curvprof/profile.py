@@ -127,40 +127,24 @@ def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
     return np.array(sorted(subset), dtype=np.int64)
 
 
-def _hits(words, s, j):
-    """Whether each side edge (s, j) has a common active partner: one AND of rows s and j.
-
-    ``words`` holds the packed rows word-major; edge chunks keep the two
-    gathers small and the OR over words contiguous.
-    """
-    hit = np.empty(s.size, dtype=bool)
-    for lo in range(0, s.size, _EDGE_CHUNK):
-        common = words.take(s[lo : lo + _EDGE_CHUNK], axis=1)
-        common &= words.take(j[lo : lo + _EDGE_CHUNK], axis=1)
-        common.any(axis=0, out=hit[lo : lo + _EDGE_CHUNK])
-    return hit
-
-
 def _run_starts(x):
     """Mask of the entries of ``x`` that differ from the one before; the first entry is one."""
     return np.concatenate(([True], x[1:] != x[:-1])) if x.size else x.astype(bool)
 
 
-def _first_hits(words, s, j, deg, n_active):
+def _first_hits(words, s, j, deg):
     """Each row's first side edge with a hit, as sorted edge indices; plus edges tested and rounds.
 
-    Rows are tested by rank windows: round 0 tests ranks ``[0, w)`` of the
-    ``n_active`` rows with ``deg >= 2``, where ``w = max(1, _WINDOW_TESTS //
-    n_active)``; a row with a hit keeps its lowest-rank one and drops out,
-    and the rows left test the next ``max(2w, _WINDOW_TESTS // rows left)``
-    ranks. When every row fits the first window, all edges are tested in
-    one pass.
+    An edge (s, j) has a hit when rows s and j of ``words`` (the packed rows,
+    word-major) share an active partner. Rows are tested by rank windows:
+    round 0 tests ranks ``[0, w)`` of the rows with ``deg >= 2``, where
+    ``w = max(1, _WINDOW_TESTS // rows)``; a row with a hit keeps
+    its lowest-rank one and drops out, and the rows left test the next
+    ``max(2w, _WINDOW_TESTS // rows left)`` ranks. Edge chunks keep the two
+    gathers of a round small and the OR over words contiguous.
     """
-    w = max(1, _WINDOW_TESTS // n_active)
-    if w >= deg.max():
-        pos = np.flatnonzero(_hits(words, s, j))
-        return pos[_run_starts(s[pos])], s.size, 1
     live = np.flatnonzero(deg >= 2)
+    w = max(1, _WINDOW_TESTS // live.size)
     start = np.cumsum(deg) - deg  # row v's edges are start[v] + rank
     found, lo, tested, rounds = [], 0, 0, 1
     while True:
@@ -168,7 +152,12 @@ def _first_hits(words, s, j, deg, n_active):
         ends = np.cumsum(take)
         # edge ids of ranks [lo, lo + take) of every live row, row by row
         idx = np.arange(ends[-1]) + np.repeat(start[live] + lo - (ends - take), take)
-        pos = np.flatnonzero(_hits(words, s[idx], j[idx]))
+        hit = np.empty(idx.size, dtype=bool)
+        for c in range(0, idx.size, _EDGE_CHUNK):
+            common = words.take(s[idx[c : c + _EDGE_CHUNK]], axis=1)
+            common &= words.take(j[idx[c : c + _EDGE_CHUNK]], axis=1)
+            common.any(axis=0, out=hit[c : c + _EDGE_CHUNK])
+        pos = np.flatnonzero(hit)
         owner = np.searchsorted(ends, pos, side="right")
         first = _run_starts(owner)
         found.append(idx[pos[first]])
@@ -223,7 +212,7 @@ def find_equilateral_triples(D, A, m=1.0, seed=0):
         rows = np.zeros((D.n, -(-width // 8) * 8), dtype=np.uint8)
         rows[:, :width] = np.packbits(A, axis=1, bitorder="little") & np.packbits(active, bitorder="little")
         rows[~active] = 0
-        first, tested, rounds = _first_hits(np.ascontiguousarray(rows.view("<u8").T), s, j, deg, n_active)
+        first, tested, rounds = _first_hits(np.ascontiguousarray(rows.view("<u8").T), s, j, deg)
     logger.debug(
         "triple search: n=%d side_edges=%d active=%d tested=%d rounds=%d candidates=%d",
         D.n, s.size, n_active, tested, rounds, first.size,
