@@ -129,15 +129,11 @@ def _metric_from_input(kind, data, args):
     return shortest_path_matrix(data if kind == "graph" else _build_graph(data, args))
 
 
-def _resolved_config(args, command):
+def _resolved_config(args):
     # workers is an execution detail: results are independent of it, so it
-    # stays out of the reproducibility record
+    # stays out of the reproducibility record; the subcommand is args.command
     skip = {"func", "workers"}
-    cfg = {"command": command}
-    for key, val in sorted(vars(args).items()):
-        if key not in skip and not callable(val):
-            cfg[key] = val
-    return cfg
+    return {key: val for key, val in sorted(vars(args).items()) if key not in skip and not callable(val)}
 
 
 def _config_comment(cfg):
@@ -184,7 +180,7 @@ def _parse_cluster_sample(spec):
 def cmd_profile(args):
     kind, data = load_input(args.input, args.format)
     D = _metric_from_input(kind, data, args)
-    cfg = _resolved_config(args, "profile")
+    cfg = _resolved_config(args)
     graph_params = data.params if isinstance(data, Graph) else None
     profile = build_profile(
         D,
@@ -194,7 +190,9 @@ def cmd_profile(args):
         workers=args.workers,
         typical="median" if args.median else "mean",
         cluster_sample=_parse_cluster_sample(args.cluster_sample),
-        extra_meta={"config": cfg, "graph_params": graph_params, "input_kind": kind},
+    )
+    profile = replace(
+        profile, meta={**profile.meta, "config": cfg, "graph_params": graph_params, "input_kind": kind}
     )
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     json_path = Path(f"{out}.profile.json")
@@ -260,7 +258,7 @@ def cmd_rho(args):
 def cmd_embed(args):
     kind, data = load_input(args.input, args.format)
     dims = _parse_dims(args.dims)
-    cfg = _resolved_config(args, "embed")
+    cfg = _resolved_config(args)
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     if args.method == "mds":
         if args.k is not None:
@@ -306,7 +304,7 @@ def cmd_compare(args):
             "n_flows": len(flows),
             "max_flow": max((f[2] for f in flows), default=0.0),
         },
-        "config": _resolved_config(args, "compare"),
+        "config": _resolved_config(args),
     }
     if args.out:
         _write_json(args.out, payload)
@@ -332,7 +330,7 @@ def cmd_estimate_dim(args):
     if kind == "points" and all(getattr(args, o) is None for o in ("k", "kmin", "kmax", "eps")):
         args.kmin, args.kmax = 10, 15  # adaptive default for the original side
     D0 = _metric_from_input(kind, data, args)
-    cfg = _resolved_config(args, "estimate-dim")
+    cfg = _resolved_config(args)
     dims = _parse_dims(args.dims)
     grid = _parse_grid(args.grid)
     embed_k = args.embed_k if args.embed_k is not None else (args.kmin or args.k or 10)

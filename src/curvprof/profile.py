@@ -36,7 +36,7 @@ RHO_CIRCLE = 2.0
 _RHO_RANGE_SLACK = 1e-9
 
 DEFAULT_SIDE_BINS = 50
-_EDGE_CHUNK = 8192  # side edges per step of the triple search: bounds its two gathers
+_EDGE_CHUNK = 8192  # cap on a round's edge tests in the triple search: bounds its two gathers
 _WINDOW_TESTS = 2048  # edge tests a round of the triple search aims at
 
 
@@ -137,39 +137,35 @@ def _first_hits(words, s, j, deg):
 
     An edge (s, j) has a hit when rows s and j of ``words`` (the packed rows,
     word-major) share an active partner. Rows are tested by rank windows:
-    round 0 tests ranks ``[0, w)`` of the rows with ``deg >= 2``, where
-    ``w = max(1, _WINDOW_TESTS // rows)``; a row with a hit keeps
-    its lowest-rank one and drops out, and the rows left test the next
-    ``max(2w, _WINDOW_TESTS // rows left)`` ranks. Edge chunks keep the two
-    gathers of a round small and the OR over words contiguous.
+    each round tests the next ``w`` ranks of the rows still left, starting
+    with every row with ``deg >= 2``; a row with a hit keeps its lowest-rank
+    one and drops out. With ``rows`` rows left, ``w`` is twice the previous
+    window but at least ``_WINDOW_TESTS // rows`` ranks, capped at
+    ``_EDGE_CHUNK // rows`` ranks and never below one, so a round's two
+    gathers hold at most ``max(_EDGE_CHUNK, rows)`` edges.
     """
     live = np.flatnonzero(deg >= 2)
-    w = max(1, _WINDOW_TESTS // live.size)
     start = np.cumsum(deg) - deg  # row v's edges are start[v] + rank
-    found, lo, tested, rounds = [], 0, 0, 1
-    while True:
+    found, lo, w, tested, rounds = [], 0, 0, 0, 0
+    while live.size:
+        w = max(1, min(max(2 * w, _WINDOW_TESTS // live.size), _EDGE_CHUNK // live.size))
         take = np.minimum(deg[live] - lo, w)
         ends = np.cumsum(take)
         # edge ids of ranks [lo, lo + take) of every live row, row by row
         idx = np.arange(ends[-1]) + np.repeat(start[live] + lo - (ends - take), take)
-        hit = np.empty(idx.size, dtype=bool)
-        for c in range(0, idx.size, _EDGE_CHUNK):
-            common = words.take(s[idx[c : c + _EDGE_CHUNK]], axis=1)
-            common &= words.take(j[idx[c : c + _EDGE_CHUNK]], axis=1)
-            common.any(axis=0, out=hit[c : c + _EDGE_CHUNK])
-        pos = np.flatnonzero(hit)
+        common = words.take(s[idx], axis=1)
+        common &= words.take(j[idx], axis=1)
+        pos = np.flatnonzero(common.any(axis=0))
         owner = np.searchsorted(ends, pos, side="right")
         first = _run_starts(owner)
         found.append(idx[pos[first]])
         tested += idx.size
+        rounds += 1
         lo += w
         left = deg[live] > lo
         left[owner[first]] = False
         live = live[left]
-        if not live.size:
-            return np.sort(np.concatenate(found)), tested, rounds
-        w = max(2 * w, _WINDOW_TESTS // live.size)
-        rounds += 1
+    return np.sort(np.concatenate(found)), tested, rounds
 
 
 def find_equilateral_triples(D, A, m=1.0, seed=0):
@@ -285,7 +281,6 @@ def build_profile(
     workers=1,
     typical="mean",
     cluster_sample=None,
-    extra_meta=None,
 ) -> CurvatureProfile:
     """Scale-indexed expansion-factor profile of a distance matrix.
 
@@ -354,8 +349,6 @@ def build_profile(
         "typical": typical,
         "cluster_sample": list(cluster_sample) if cluster_sample else None,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return CurvatureProfile(records=tuple(records), meta=meta)
 
 

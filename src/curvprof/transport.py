@@ -110,17 +110,12 @@ def _dist_key(dist):
 def _solve_transport_lp(p, q, M):
     """Exact transport LP between mass vectors p, q with cost matrix M."""
     a, b = len(p), len(q)
-    nvar = a * b
-    # row-sum constraints (a of them) then column sums with the redundant
-    # last column dropped
-    row_r = np.repeat(np.arange(a), b)
-    col_r = np.arange(nvar)
-    row_c = np.repeat(a + np.arange(b - 1), a)
-    col_c = (np.arange(a)[None, :] * b + np.arange(b - 1)[:, None]).ravel()
-    rows = np.concatenate([row_r, row_c])
-    cols = np.concatenate([col_r, col_c])
-    data = np.ones(rows.size)
-    A_eq = coo_matrix((data, (rows, cols)), shape=(a + b - 1, nvar))
+    # flow k, from source k // b to sink k % b, enters that source's row sum
+    # and that sink's column sum; the last column sum is redundant and dropped
+    k = np.arange(a * b)
+    A_eq = coo_matrix(
+        (np.ones(2 * k.size), (np.concatenate([k // b, a + k % b]), np.tile(k, 2))), shape=(a + b, a * b)
+    ).tocsr()[:-1]
     b_eq = np.concatenate([p, q[:-1]])
     # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve
     res = linprog(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -164,6 +165,22 @@ def w1_dense_lp(P, Q):
     res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def transport_lp_equalities(a, b):
+    """Equality matrix of the a x b transport LP, built block by block.
+
+    Flow i*b + j is column i*b + j. Rows 0..a-1 are the source (row) sums;
+    rows a..a+b-2 are the sink (column) sums, the redundant last one dropped.
+    """
+    nvar = a * b
+    row_r = np.repeat(np.arange(a), b)
+    col_r = np.arange(nvar)
+    row_c = np.repeat(a + np.arange(b - 1), a)
+    col_c = (np.arange(a)[None, :] * b + np.arange(b - 1)[:, None]).ravel()
+    rows = np.concatenate([row_r, row_c])
+    cols = np.concatenate([col_r, col_c])
+    return coo_matrix((np.ones(rows.size), (rows, cols)), shape=(a + b - 1, nvar))
 
 
 def w1_network_simplex(P, Q):

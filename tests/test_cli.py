@@ -99,6 +99,13 @@ class TestProfileCommand:
         assert payload["meta"]["cluster_sample"] == [3, 4]
         assert cli.main(["profile", str(inp), "--cluster-sample", "nope"]) == 2
 
+    def test_sides_of_1e10_keep_their_scale(self, tmp_path, capsys):
+        # integer sides of 1e10 are scale keys far beyond any array indexed by key
+        inp = tmp_path / "big.edges"
+        inp.write_text("0 1 10000000000\n1 2 10000000000\n0 2 10000000000\n2 3 10000000000\n")
+        assert cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "big")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["r=5e+09 count=1 rho=2.000000"]
+
     def test_gnuplot_script(self, tmp_path):
         inp = tmp_path / "c6.edges"
         write_cycle(inp)

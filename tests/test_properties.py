@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import csc_array
 from scipy.spatial import cKDTree
 
 import oracles
@@ -32,12 +34,14 @@ from curvprof import profile as profile_module
 from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists, _pairwise
 from curvprof.metric import _finalize_distance_matrix
 from curvprof.profile import (
+    _EDGE_CHUNK,
     _RHO_RANGE_SLACK,
     _WINDOW_TESTS,
     DEFAULT_SIDE_BINS,
     ProfileRecord,
     _check_rho_range,
     _side_keys,
+    cluster_sample_subset,
     find_equilateral_triples,
     rho_minmax,
 )
@@ -263,6 +267,39 @@ def test_triple_search_matches_pair_scan_reference(D, m, seed, allowed):
             assert all(_closes(A, t) for t in got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    D=small_metrics(),
+    cluster_sample=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 14))),
+    seed=st.integers(0, 2**32 - 1),
+)
+# binned sides 1.5, 3.5 and 4.5 at h = 0.09: keys 16, 38 and 50, with gaps between
+@example(
+    D=distance_matrix_from_array([[0.0, 1.5, 4.5], [1.5, 0.0, 3.5], [4.5, 3.5, 0.0]]),
+    cluster_sample=None,
+    seed=0,
+)
+def test_build_profile_searches_each_key_once_in_ascending_order(D, cluster_sample, seed):
+    h = None if D.integer_valued else D.diameter / DEFAULT_SIDE_BINS
+    keys = _side_keys(D, h)
+    if cluster_sample is not None:
+        outside = np.ones(D.n, dtype=bool)
+        outside[cluster_sample_subset(D, *cluster_sample, seed=seed)] = False
+        keys[outside] = 0
+        keys[:, outside] = 0
+    searched = []
+    real = profile_module.find_equilateral_triples
+
+    def record(D, A, m, seed):
+        searched.append(seed[1])
+        assert A.tobytes() == (keys == seed[1]).tobytes()
+        return real(D, A, m=m, seed=seed)
+
+    with mock.patch.object(profile_module, "find_equilateral_triples", record):
+        build_profile(D, m=1.0, seed=seed, cluster_sample=cluster_sample)
+    assert searched == sorted(set(keys.ravel().tolist()) - {0})
+
+
 def _random_side_mask(n, density, seed, flips=0.0):
     """Random side graph on n vertices, with a false diagonal.
 
@@ -297,7 +334,7 @@ def _metric_of_size(n):
 @settings(max_examples=300, deadline=None)
 @given(A=side_masks, m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
 # 63, 64, 65 and 129 vertices: padding bits, a row of exactly one word, a
-# second and a third word; 140 vertices at density 0.9 span three edge chunks
+# second and a third word; 140 vertices at density 0.9, a dense side graph
 @example(A=_random_side_mask(63, 0.3, seed=1), m=1.0, seed=0)
 @example(A=_random_side_mask(64, 0.3, seed=2), m=0.1, seed=1)
 @example(A=_random_side_mask(65, 0.3, seed=3, flips=0.05), m=1.0, seed=2)
@@ -350,7 +387,11 @@ hub_masks = st.builds(
 )
 
 
-@pytest.mark.parametrize("window_tests", [_WINDOW_TESTS, 1], ids=["default", "one"])
+@pytest.mark.parametrize(
+    "window_tests, edge_chunk",
+    [(_WINDOW_TESTS, _EDGE_CHUNK), (1, _EDGE_CHUNK), (_WINDOW_TESTS, 16)],
+    ids=["default", "one", "capped"],
+)
 @settings(max_examples=150, deadline=None)
 @given(A=hub_masks, m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
 # hub rows of degree about 150 against a first window of 6 ranks: five rounds
@@ -359,10 +400,11 @@ hub_masks = st.builds(
 @example(A=_hub_side_mask(300, 40, 0.05, seed=0), m=1.0, seed=0)
 @example(A=_hub_side_mask(300, 40, 0.05, seed=0, late=False), m=1.0, seed=0)
 @example(A=_hub_side_mask(300, 40, 0.05, seed=1, flips=0.005), m=0.2, seed=1)
-def test_windowed_triple_search_equals_the_matmul_reference(window_tests, A, m, seed):
+def test_windowed_triple_search_equals_the_matmul_reference(window_tests, edge_chunk, A, m, seed):
     D = _metric_of_size(A.shape[0])
-    # a budget of one test a round makes round 0 one rank wide; windows then double
-    with mock.patch.object(profile_module, "_WINDOW_TESTS", window_tests):
+    # a budget of one test a round makes round 0 one rank wide; windows then
+    # double. A cap of 16 tests a round holds more than 16 rows to one rank each.
+    with mock.patch.multiple(profile_module, _WINDOW_TESTS=window_tests, _EDGE_CHUNK=edge_chunk):
         got = find_equilateral_triples(D, A, m=m, seed=seed)
     assert got == oracles.equilateral_triples_matmul(D, A, m=m, seed=seed)
 
@@ -668,3 +710,31 @@ def test_presolve_free_lp_equals_the_presolved_dense_lp(pair):
     i, j, amount = (np.array(c) for c in zip(*flows))
     assert np.abs(np.bincount(i, amount, len(P.mass)) - P.mass).max() <= 1e-12
     assert np.abs(np.bincount(j, amount, len(Q.mass)) - Q.mass).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+    q=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=[1], q=[1], seed=0)
+@example(p=[1] * 40, q=[1] * 40, seed=0)
+def test_transport_lp_equalities_equal_the_block_built_reference(p, q, seed):
+    p, q = np.array(p, float) / sum(p), np.array(q, float) / sum(q)
+    M = np.random.default_rng(seed).random((p.size, q.size))
+    seen = []
+
+    def spy(c, **kwargs):
+        seen.append(kwargs)
+        return linprog(c, **kwargs)
+
+    with mock.patch.object(transport, "linprog", spy):
+        transport._solve_transport_lp(p, q, M)
+    (kwargs,) = seen
+    got = csc_array(kwargs["A_eq"]).sorted_indices()
+    ref = csc_array(oracles.transport_lp_equalities(p.size, q.size)).sorted_indices()
+    assert got.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part))
+    assert kwargs["b_eq"].tobytes() == np.concatenate([p, q[:-1]]).tobytes()
