@@ -23,7 +23,6 @@ from . import generate as gen_mod
 from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph
 from .metric import (
     EmptyResultError,
-    Graph,
     InputError,
     _read_csv,
     distance_matrix_from_array,
@@ -56,14 +55,20 @@ EXIT_INTERNAL = 4
 EDGE_EXTENSIONS = {".edges", ".edgelist", ".txt", ".tsv"}
 
 
+def _nonnegative_int(raw, name):
+    """``raw`` as an integer >= 0, else an InputError naming ``name``; numpy takes no negative seed."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _env_int(name, default):
     raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"environment variable {name}={raw!r} is not an integer") from None
+    return default if raw is None else _nonnegative_int(raw, f"environment variable {name}")
 
 
 def _looks_square_metric(arr):
@@ -181,7 +186,7 @@ def cmd_profile(args):
     kind, data = load_input(args.input, args.format)
     D = _metric_from_input(kind, data, args)
     cfg = _resolved_config(args)
-    graph_params = data.params if isinstance(data, Graph) else None
+    graph_params = {"source": args.input} if kind == "graph" else None
     profile = build_profile(
         D,
         m=args.m,
@@ -376,13 +381,13 @@ def cmd_generate(args):
     kind = args.kind
     if kind == "er":
         g = gen_mod.erdos_renyi(args.n, args.avg_degree, seed=seed)
-        _write_edge_list(g, out)
+        _write_edge_list(g, out, {"kind": kind, "n": args.n, "avg_degree": args.avg_degree, "seed": seed})
     elif kind == "ws":
         g = gen_mod.watts_strogatz(args.n, args.k, args.beta, seed=seed)
-        _write_edge_list(g, out)
+        _write_edge_list(g, out, {"kind": kind, "n": args.n, "k": args.k, "beta": args.beta, "seed": seed})
     elif kind == "tree":
         g = gen_mod.tree_graph(args.branching, args.depth)
-        _write_edge_list(g, out)
+        _write_edge_list(g, out, {"kind": kind, "branching": args.branching, "depth": args.depth})
     elif kind == "circle":
         D = gen_mod.circle_sample(args.n, seed=seed, radius=args.radius)
         np.savetxt(out, D.d, delimiter=",")
@@ -399,21 +404,18 @@ def cmd_generate(args):
             noise=args.noise,
         )
         np.savetxt(out, cloud.coords, delimiter=",")
-    elif kind == "gaussian":
+    else:  # gaussian, the last of the kinds argparse allows
         low, high = gen_mod.gaussian_isometric(args.n, args.dim, seed=seed, extra_dims=args.extra_dims)
         np.savetxt(f"{out}.low.csv", low.coords, delimiter=",")
         np.savetxt(f"{out}.high.csv", high.coords, delimiter=",")
-        print(f"wrote {out}.low.csv and {out}.high.csv")
-        return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown kind {kind}")
+        out = f"{out}.low.csv and {out}.high.csv"
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _write_edge_list(g: Graph, path):
+def _write_edge_list(g, path, generated):
     with open(path, "w") as fh:
-        fh.write(f"# generated: {json.dumps(g.params, sort_keys=True)}\n")
+        fh.write(f"# generated: {json.dumps(generated, sort_keys=True)}\n")
         for i, j, w in g.edges:
             if w == 1.0:
                 fh.write(f"{i} {j}\n")
@@ -537,6 +539,7 @@ def main(argv=None):
     try:
         # the parser's defaults read CURVPROF_SEED / CURVPROF_WORKERS
         args = build_parser().parse_args(argv)
+        _nonnegative_int(getattr(args, "seed", 0), "--seed")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

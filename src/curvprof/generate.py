@@ -29,9 +29,7 @@ def erdos_renyi(n, avg_degree, seed=0) -> Graph:
     hits = [np.flatnonzero(rng.random(n - 1 - i) < p) for i in range(n - 1)]
     i = np.repeat(np.arange(n - 1), [h.size for h in hits])
     j = np.concatenate(hits) + i + 1
-    return Graph.from_edges(
-        n, np.column_stack((i, j)), params={"kind": "er", "n": n, "avg_degree": avg_degree, "seed": seed}
-    )
+    return Graph.from_edges(n, np.column_stack((i, j)))
 
 
 def watts_strogatz(n, k, beta, seed=0) -> Graph:
@@ -68,13 +66,13 @@ def watts_strogatz(n, k, beta, seed=0) -> Graph:
                 continue
             edges.remove(key)
             edges.add((min(i, w), max(i, w)))
-    return Graph.from_edges(
-        n, list(edges), params={"kind": "ws", "n": n, "k": k, "beta": beta, "seed": seed}
-    )
+    return Graph.from_edges(n, list(edges))
 
 
 def circle_arc_metric(angles, radius=1.0) -> DistanceMatrix:
     """Geodesic (arc-length) distance matrix of points at given angles."""
+    if not (0 < radius < math.inf):
+        raise InputError(f"radius must be finite and positive, got {radius}")
     theta = np.asarray(angles, dtype=np.float64) % (2 * math.pi)
     delta = np.abs(theta[:, None] - theta[None, :])
     d = radius * np.minimum(delta, 2 * math.pi - delta)
@@ -106,10 +104,7 @@ def tree_graph(branching, depth) -> Graph:
         raise InputError("depth must be >= 1")
     # breadth-first numbering: the parent of v is (v - 1) // branching
     v = np.arange(1, (branching ** (depth + 1) - 1) // (branching - 1))
-    return Graph.from_edges(
-        v.size + 1, np.column_stack(((v - 1) // branching, v)),
-        params={"kind": "tree", "branching": branching, "depth": depth},
-    )
+    return Graph.from_edges(v.size + 1, np.column_stack(((v - 1) // branching, v)))
 
 
 def dla_tree(k_branches, l_nodes, m_subdim, seed=0, length_jitter=0.0, noise=0.0) -> PointCloud:
@@ -132,6 +127,8 @@ def dla_tree(k_branches, l_nodes, m_subdim, seed=0, length_jitter=0.0, noise=0.0
         raise InputError("need m_subdim >= 1")
     if not (0 <= length_jitter < 1):
         raise InputError("length_jitter must lie in [0, 1)")
+    if not (0 <= noise < math.inf):
+        raise InputError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     dim = k_branches * m_subdim
     rows = []
@@ -166,6 +163,8 @@ def gaussian_isometric(N, n, seed=0, extra_dims=50):
     """
     if not (N > n >= 1):
         raise InputError("need N > n >= 1")
+    if extra_dims < 0:
+        raise InputError(f"extra_dims must be >= 0, got {extra_dims}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, n))
     A = rng.standard_normal((n + extra_dims, n))

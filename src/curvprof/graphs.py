@@ -118,8 +118,8 @@ def knn_graph(data, k) -> Graph:
 
 def epsilon_graph(data, eps) -> Graph:
     """Connect every pair at distance <= eps, weighted by that distance."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not eps > 0:  # NaN fails too; inf links every pair
+        raise InputError(f"eps must be positive, got {eps}")
     edges = []
     for lo, d in _row_blocks(data):
         r, c = np.nonzero(np.triu(d <= eps, k=lo + 1))  # the pairs (lo + r, c) with c > lo + r

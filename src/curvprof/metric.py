@@ -36,15 +36,13 @@ class Graph:
 
     ``i``, ``j``, ``w`` are read-only arrays with i < j, sorted by (i, j),
     and w >= 0; zero weights are allowed because neighborhood graphs over
-    point clouds may contain coincident points. ``params`` records how a
-    generated or loaded graph was made; neighborhood graphs leave it None.
+    point clouds may contain coincident points.
     """
 
     n: int
     i: np.ndarray
     j: np.ndarray
     w: np.ndarray
-    params: dict | None = None
 
     def __post_init__(self):
         for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
@@ -53,7 +51,7 @@ class Graph:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_edges(cls, n, edges, params=None):
+    def from_edges(cls, n, edges):
         """Normalize and validate edges into a Graph.
 
         Accepts (i, j) or (i, j, w) items, or an (m, 2) / (m, 3) array of
@@ -86,16 +84,12 @@ class Graph:
                 raise InputError(f"duplicate edge ({lo},{hi})")
             kind = "non-finite" if not np.isfinite(w[k]) else "negative"
             raise InputError(f"{kind} edge weight {float(w[k])} on ({lo},{hi})")
-        return cls(n=n, i=i[order], j=j[order], w=w[order], params=params)
+        return cls(n=n, i=i[order], j=j[order], w=w[order])
 
     @property
     def edges(self):
         """The edges as a tuple of (i, j, w) tuples."""
         return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
-
-    @property
-    def is_unweighted(self):
-        return bool(np.all(self.w == 1.0))
 
 
 @dataclass(frozen=True)
@@ -222,7 +216,7 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
         raise InputError("graph has zero vertices")
     if np.any(graph.w < 0):
         raise InputError("negative edge weights are not supported")
-    if graph.is_unweighted:
+    if np.all(graph.w == 1.0):
         D = _hop_counts(graph)
         logger.debug("shortest paths: solver=bfs n=%d edges=%d levels=%d", graph.n, graph.i.size, int(D.diameter))
         return D
@@ -336,7 +330,7 @@ def load_edge_list(path) -> Graph:
     edges = np.array(raw)
     if edges[:, :2].min() >= 1:  # 1-based ids
         edges[:, :2] -= 1
-    return Graph.from_edges(int(edges[:, :2].max()) + 1, edges, params={"source": str(path)})
+    return Graph.from_edges(int(edges[:, :2].max()) + 1, edges)
 
 
 def load_distance_csv(path) -> DistanceMatrix:

@@ -303,6 +303,8 @@ def build_profile(
         raise InputError("typical must be 'mean' or 'median'")
     if not (0 < m <= 1):
         raise InputError("sample fraction m must lie in (0, 1]")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     if workers < 1:
         raise InputError("workers must be >= 1")
     if h is not None and not (math.isfinite(h) and h > 0):

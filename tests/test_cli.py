@@ -223,6 +223,40 @@ class TestGenerateCommand:
         assert cli.main(["profile", str(out), "-m", "1.0", "--out", str(tmp_path / "net")]) == 0
 
 
+class TestProvenance:
+    """Generated edge lists and profile JSONs record where the graph came from."""
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["--kind", "er", "--n", "10", "--seed", "3"],
+             '# generated: {"avg_degree": 4.0, "kind": "er", "n": 10, "seed": 3}'),
+            (["--kind", "ws", "--n", "10", "--beta", "0.25", "--seed", "3"],
+             '# generated: {"beta": 0.25, "k": 4, "kind": "ws", "n": 10, "seed": 3}'),
+            (["--kind", "tree", "--depth", "3", "--seed", "3"],
+             '# generated: {"branching": 2, "depth": 3, "kind": "tree"}'),
+        ],
+        ids=["er", "ws", "tree"],
+    )
+    def test_generated_header_line(self, tmp_path, argv, header):
+        out = tmp_path / "g.edges"
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == header
+
+    def test_graph_params_name_only_an_edge_list_source(self, tmp_path):
+        edges, pts, dist = tmp_path / "c6.edges", tmp_path / "pts.csv", tmp_path / "circle.csv"
+        write_cycle(edges)
+        np.savetxt(pts, plane_sample(60, seed=2).coords, delimiter=",")
+        assert cli.main(["generate", "--kind", "circle", "--n", "60", "--seed", "0", "--out", str(dist)]) == 0
+        runs = {edges: [], pts: ["--k", "5"], dist: []}
+        expected = {edges: {"source": str(edges)}, pts: None, dist: None}
+        for inp, rule in runs.items():
+            out = tmp_path / f"{inp.stem}-out"
+            assert cli.main(["profile", str(inp), "-m", "1.0", *rule, "--out", str(out)]) == 0
+            meta = json.loads(Path(f"{out}.profile.json").read_text())["meta"]
+            assert meta["graph_params"] == expected[inp]
+
+
 class TestCompareCommand:
     def test_identical_profiles_w1_zero(self, tmp_path, capsys):
         inp = tmp_path / "c6.edges"
@@ -733,6 +767,41 @@ class TestMalformedOptions:
         args = [a.format(pts=tmp_path / "pts.csv", dist=tmp_path / "d.csv") for a in argv]
         assert cli.main(args + (["--out", str(tmp_path / "o")] if argv[0] != "rho" else [])) == 2
         assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [
+            (["profile", "{edges}", "--seed", "-1"], None, "--seed"),
+            (["estimate-dim", "{edges}", "--dims", "2", "--seed", "-1"], None, "--seed"),
+            (["generate", "--kind", "er", "--n", "10", "--seed", "-1"], None, "--seed"),
+            (["generate", "--kind", "ws", "--n", "10", "--seed", "-1"], None, "--seed"),
+            (["generate", "--kind", "plane", "--n", "10", "--seed", "-1"], None, "--seed"),
+            (["profile", "{edges}"], "-2", "CURVPROF_SEED"),
+            (["generate", "--kind", "gaussian", "--n", "20", "--dim", "2", "--extra-dims", "-2"], None,
+             "extra_dims"),
+            (["generate", "--kind", "dla", "--branches", "3", "--length", "5", "--noise", "-1"], None, "noise"),
+            (["generate", "--kind", "dla", "--branches", "3", "--length", "5", "--noise", "nan"], None, "noise"),
+            (["generate", "--kind", "circle", "--n", "10", "--radius", "0"], None, "radius"),
+            (["generate", "--kind", "circle", "--n", "10", "--radius", "-1"], None, "radius"),
+            (["generate", "--kind", "circle", "--n", "10", "--radius", "nan"], None, "radius"),
+            (["profile", "{pts}", "--eps", "nan"], None, "eps"),
+        ],
+        ids=["profile-seed", "estimate-dim-seed", "er-seed", "ws-seed", "plane-seed", "env-seed",
+             "gaussian-extra-dims", "dla-negative-noise", "dla-nan-noise", "circle-zero-radius",
+             "circle-negative-radius", "circle-nan-radius", "eps-nan"],
+    )
+    def test_bad_value_names_itself_and_exits_2(self, tmp_path, monkeypatch, capsys, argv, env, named):
+        edges, pts = tmp_path / "t.edges", tmp_path / "pts.csv"
+        edges.write_text("0 1\n1 2\n0 2\n2 3\n")
+        np.savetxt(pts, plane_sample(30, seed=2).coords, delimiter=",")
+        if env is not None:
+            monkeypatch.setenv("CURVPROF_SEED", env)
+        before = sorted(tmp_path.iterdir())
+        args = [a.format(edges=edges, pts=pts) for a in argv]
+        assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "internal error" not in err
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(

@@ -318,6 +318,11 @@ class TestBuildProfile:
         with pytest.raises(InputError, match="weighted metrics only"):
             build_profile(D, m=1.0, seed=0, h=0.5)
 
+    def test_negative_seed_is_an_input_error(self):
+        # numpy's generators would raise a plain ValueError deep inside the triple search
+        with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+            build_profile(cycle(6), m=1.0, seed=-1)
+
     def test_binned_cycle_keeps_the_window_floor_misses(self):
         # floor(d / h) keys the triangle side 1.7 one window above the one holding it
         D = shortest_path_matrix(Graph.from_edges(51, [(i, (i + 1) % 51, 0.1) for i in range(51)]))
