@@ -14,7 +14,7 @@ import os
 # matmul calls of MDS up to 100x dearer in CPU; a user's own setting wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .embed import EmbeddingResult, classical_mds, isomap, load_external_embedding
+from .embed import EmbeddingResult, classical_mds, isomap
 from .generate import (
     circle_arc_metric,
     circle_sample,
@@ -30,7 +30,7 @@ from .graphs import (
     adaptive_graph,
     epsilon_graph,
     knn_graph,
-    load_point_cloud,
+    load_input,
 )
 from .metric import (
     DistanceMatrix,
@@ -40,7 +40,6 @@ from .metric import (
     distance_matrix_from_array,
     gromov_products,
     lambda_measure,
-    load_distance_csv,
     load_edge_list,
     shortest_path_matrix,
 )

@@ -20,15 +20,12 @@ import numpy as np
 
 from . import embed as embed_mod
 from . import generate as gen_mod
-from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph
+from .graphs import adaptive_graph, epsilon_graph, knn_graph, load_input
 from .metric import (
     EmptyResultError,
     InputError,
-    _read_csv,
-    distance_matrix_from_array,
     gromov_products,
     lambda_measure,
-    load_edge_list,
     shortest_path_matrix,
 )
 from .profile import (
@@ -52,8 +49,6 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_INTERNAL = 4
 
-EDGE_EXTENSIONS = {".edges", ".edgelist", ".txt", ".tsv"}
-
 
 def _nonnegative_int(raw, name):
     """``raw`` as an integer >= 0, else an InputError naming ``name``; numpy takes no negative seed."""
@@ -66,38 +61,9 @@ def _nonnegative_int(raw, name):
     return value
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    return default if raw is None else _nonnegative_int(raw, f"environment variable {name}")
-
-
-def _looks_square_metric(arr):
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-        return False
-    return (
-        np.allclose(np.diag(arr), 0.0, atol=1e-12)
-        and np.allclose(arr, arr.T, rtol=1e-9, atol=1e-12)
-        and np.all(arr >= 0)
-    )
-
-
-def load_input(path, fmt=None):
-    """Load an input file as ('graph'|'dist'|'points', object).
-
-    Auto-detection: edge-list extensions parse as edge lists; CSVs become a
-    distance matrix when square/symmetric/zero-diagonal and a point cloud
-    otherwise. ``fmt`` overrides detection.
-    """
-    if fmt is None and Path(path).suffix.lower() in EDGE_EXTENSIONS:
-        fmt = "edgelist"
-    if fmt == "edgelist":
-        return "graph", load_edge_list(path)
-    if fmt not in (None, "distmatrix", "points"):
-        raise InputError(f"unknown format {fmt!r}")
-    arr = _read_csv(path)
-    if fmt == "distmatrix" or (fmt is None and _looks_square_metric(arr)):
-        return "dist", distance_matrix_from_array(arr)
-    return "points", PointCloud(coords=arr)
+def _env_default(name, default):
+    # None when the variable is set: main parses it then, for the subcommands that take the option
+    return None if name in os.environ else default
 
 
 def _build_graph(data, args):
@@ -318,19 +284,30 @@ def cmd_compare(args):
 
 
 def _external_embeddings(directory, dims, expected_n):
+    """The point cloud of each of ``dims``: the one CSV in ``directory`` named for it, of ``expected_n`` rows."""
     found = {}
     for path in sorted(Path(directory).glob("*.csv")):
         m = re.search(r"d(\d+)\.csv$", path.name)
-        if not m:
-            continue
-        found[int(m.group(1))] = path
+        d = int(m.group(1)) if m else None
+        if d in found:
+            raise InputError(f"{found[d]} and {path} both name dimension {d}")
+        if d in dims:
+            found[d] = path
     missing = [d for d in dims if d not in found]
     if missing:
         raise InputError(f"no embedding CSV (named like 'xxx_d3.csv') for dimensions {missing}")
-    return {d: embed_mod.load_external_embedding(found[d], expected_n=expected_n) for d in dims}
+    clouds = {d: load_input(found[d], "points")[1] for d in dims}
+    for d, cloud in clouds.items():
+        if cloud.n != expected_n:
+            raise InputError(f"{found[d]}: embedding has {cloud.n} rows but the dataset has {expected_n} points")
+    return clouds
 
 
 def cmd_estimate_dim(args):
+    if args.embeddings_dir is not None and args.method != "external":
+        raise InputError("--embeddings-dir applies to --method external only")
+    if args.method == "external" and not args.embeddings_dir:
+        raise InputError("--method external needs --embeddings-dir")
     kind, data = load_input(args.input, args.format)
     if kind == "points" and all(getattr(args, o) is None for o in ("k", "kmin", "kmax", "eps")):
         args.kmin, args.kmax = 10, 15  # adaptive default for the original side
@@ -345,8 +322,6 @@ def cmd_estimate_dim(args):
         raise EmptyResultError("original profile is empty")
 
     if args.method == "external":
-        if not args.embeddings_dir:
-            raise InputError("--method external needs --embeddings-dir")
         clouds = _external_embeddings(args.embeddings_dir, dims, D0.n)
     else:
         if args.method == "mds":
@@ -375,37 +350,48 @@ def cmd_estimate_dim(args):
     return EXIT_OK
 
 
+# the options each kind reads, with their defaults; --seed and --out apply to every kind
+_KIND_OPTIONS = {
+    "er": {"n": 1000, "avg_degree": 4.0},
+    "ws": {"n": 1000, "k": 4, "beta": 0.1},
+    "circle": {"n": 1000, "radius": 1.0},
+    "plane": {"n": 1000},
+    "tree": {"branching": 2, "depth": 8},
+    "dla": {"branches": 10, "length": 300, "subdim": 1, "length_jitter": 0.0, "noise": 0.0},
+    "gaussian": {"n": 1000, "dim": 3, "extra_dims": 50},
+}
+
+
 def cmd_generate(args):
-    seed = args.seed
-    out = Path(args.out)
-    kind = args.kind
+    seed, out, kind = args.seed, Path(args.out), args.kind
+    p = dict(_KIND_OPTIONS[kind])
+    for name, value in vars(args).items():
+        if value is None or name in ("command", "func", "kind", "out", "seed"):
+            continue
+        if name not in p:
+            raise InputError(f"--{name.replace('_', '-')} does not apply to --kind {kind}")
+        p[name] = value
     if kind == "er":
-        g = gen_mod.erdos_renyi(args.n, args.avg_degree, seed=seed)
-        _write_edge_list(g, out, {"kind": kind, "n": args.n, "avg_degree": args.avg_degree, "seed": seed})
+        g = gen_mod.erdos_renyi(p["n"], p["avg_degree"], seed=seed)
+        _write_edge_list(g, out, {"kind": kind, **p, "seed": seed})
     elif kind == "ws":
-        g = gen_mod.watts_strogatz(args.n, args.k, args.beta, seed=seed)
-        _write_edge_list(g, out, {"kind": kind, "n": args.n, "k": args.k, "beta": args.beta, "seed": seed})
+        g = gen_mod.watts_strogatz(p["n"], p["k"], p["beta"], seed=seed)
+        _write_edge_list(g, out, {"kind": kind, **p, "seed": seed})
     elif kind == "tree":
-        g = gen_mod.tree_graph(args.branching, args.depth)
-        _write_edge_list(g, out, {"kind": kind, "branching": args.branching, "depth": args.depth})
+        g = gen_mod.tree_graph(p["branching"], p["depth"])
+        _write_edge_list(g, out, {"kind": kind, **p})
     elif kind == "circle":
-        D = gen_mod.circle_sample(args.n, seed=seed, radius=args.radius)
+        D = gen_mod.circle_sample(p["n"], seed=seed, radius=p["radius"])
         np.savetxt(out, D.d, delimiter=",")
     elif kind == "plane":
-        cloud = gen_mod.plane_sample(args.n, seed=seed)
+        cloud = gen_mod.plane_sample(p["n"], seed=seed)
         np.savetxt(out, cloud.coords, delimiter=",")
     elif kind == "dla":
-        cloud = gen_mod.dla_tree(
-            args.branches,
-            args.length,
-            args.subdim,
-            seed=seed,
-            length_jitter=args.length_jitter,
-            noise=args.noise,
-        )
+        cloud = gen_mod.dla_tree(p["branches"], p["length"], p["subdim"], seed=seed,
+                                 length_jitter=p["length_jitter"], noise=p["noise"])
         np.savetxt(out, cloud.coords, delimiter=",")
     else:  # gaussian, the last of the kinds argparse allows
-        low, high = gen_mod.gaussian_isometric(args.n, args.dim, seed=seed, extra_dims=args.extra_dims)
+        low, high = gen_mod.gaussian_isometric(p["n"], p["dim"], seed=seed, extra_dims=p["extra_dims"])
         np.savetxt(f"{out}.low.csv", low.coords, delimiter=",")
         np.savetxt(f"{out}.high.csv", high.coords, delimiter=",")
         out = f"{out}.low.csv and {out}.high.csv"
@@ -447,8 +433,8 @@ def _add_graph_opts(p):
 
 def _add_profile_opts(p):
     p.add_argument("-m", type=float, default=0.1, help="per-scale sample fraction (default 0.1)")
-    p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
-    p.add_argument("--workers", type=int, default=_env_int("CURVPROF_WORKERS", 1),
+    p.add_argument("--seed", type=int, default=_env_default("CURVPROF_SEED", 0))
+    p.add_argument("--workers", type=int, default=_env_default("CURVPROF_WORKERS", 1),
                    help="threads for the per-scale triangle searches (default 1)")
 
 
@@ -512,24 +498,24 @@ def build_parser():
     p.set_defaults(func=cmd_estimate_dim)
 
     p = sub.add_parser("generate", help="seeded synthetic datasets")
-    p.add_argument("--kind", required=True,
-                   choices=("er", "ws", "circle", "plane", "tree", "dla", "gaussian"))
+    p.add_argument("--kind", required=True, choices=tuple(_KIND_OPTIONS))
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_env_int("CURVPROF_SEED", 0))
-    p.add_argument("--n", type=int, default=1000, help="node/point count (er, ws, circle, plane, gaussian)")
-    p.add_argument("--avg-degree", type=float, default=4.0, help="er: expected degree")
-    p.add_argument("--k", type=int, default=4, help="ws: lattice neighbors (even)")
-    p.add_argument("--beta", type=float, default=0.1, help="ws: rewiring probability")
-    p.add_argument("--radius", type=float, default=1.0, help="circle: radius")
-    p.add_argument("--branching", type=int, default=2, help="tree: children per node")
-    p.add_argument("--depth", type=int, default=8, help="tree: depth")
-    p.add_argument("--branches", type=int, default=10, help="dla: branch count")
-    p.add_argument("--length", type=int, default=300, help="dla: nodes per branch")
-    p.add_argument("--subdim", type=int, default=1, help="dla: dimensions per branch block")
-    p.add_argument("--length-jitter", type=float, default=0.0, help="dla: relative branch-length jitter")
-    p.add_argument("--noise", type=float, default=0.0, help="dla: Gaussian coordinate noise")
-    p.add_argument("--dim", type=int, default=3, help="gaussian: intrinsic dimension")
-    p.add_argument("--extra-dims", type=int, default=50, help="gaussian: ambient lift = dim + extra")
+    p.add_argument("--seed", type=int, default=_env_default("CURVPROF_SEED", 0))
+    # no defaults here: cmd_generate takes them from _KIND_OPTIONS, so an option of another kind shows
+    p.add_argument("--n", type=int, help="node/point count (er, ws, circle, plane, gaussian)")
+    p.add_argument("--avg-degree", type=float, help="er: expected degree")
+    p.add_argument("--k", type=int, help="ws: lattice neighbors (even)")
+    p.add_argument("--beta", type=float, help="ws: rewiring probability")
+    p.add_argument("--radius", type=float, help="circle: radius")
+    p.add_argument("--branching", type=int, help="tree: children per node")
+    p.add_argument("--depth", type=int, help="tree: depth")
+    p.add_argument("--branches", type=int, help="dla: branch count")
+    p.add_argument("--length", type=int, help="dla: nodes per branch")
+    p.add_argument("--subdim", type=int, help="dla: dimensions per branch block")
+    p.add_argument("--length-jitter", type=float, help="dla: relative branch-length jitter")
+    p.add_argument("--noise", type=float, help="dla: Gaussian coordinate noise")
+    p.add_argument("--dim", type=int, help="gaussian: intrinsic dimension")
+    p.add_argument("--extra-dims", type=int, help="gaussian: ambient lift = dim + extra")
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -537,8 +523,10 @@ def build_parser():
 
 def main(argv=None):
     try:
-        # the parser's defaults read CURVPROF_SEED / CURVPROF_WORKERS
         args = build_parser().parse_args(argv)
+        for name, var in (("seed", "CURVPROF_SEED"), ("workers", "CURVPROF_WORKERS")):
+            if getattr(args, name, 0) is None:  # the subcommand takes the option, and var is set
+                setattr(args, name, _nonnegative_int(os.environ[var], f"environment variable {var}"))
         _nonnegative_int(getattr(args, "seed", 0), "--seed")
         return args.func(args)
     except (InputError, OSError) as exc:

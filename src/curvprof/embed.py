@@ -1,4 +1,4 @@
-"""Classical MDS and Isomap embeddings, plus ingestion of external ones."""
+"""Classical MDS and Isomap embeddings."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import PointCloud, _pairwise, knn_graph, load_point_cloud
+from .graphs import PointCloud, _pairwise, knn_graph
 from .metric import Graph, InputError, distance_matrix_from_array, shortest_path_matrix
 
 logger = logging.getLogger(__name__)
@@ -102,17 +102,3 @@ def isomap(data, k, d) -> EmbeddingResult:
     )
     res = classical_mds(distance_matrix_from_array(Dm.d[np.ix_(kept, kept)]), d)
     return replace(res, kept_indices=kept)
-
-
-def load_external_embedding(path, expected_n=None) -> PointCloud:
-    """Read an externally produced embedding CSV as a point cloud.
-
-    ``expected_n`` guards against pairing an embedding with the wrong
-    dataset; a mismatch is an explicit error.
-    """
-    cloud = load_point_cloud(path)
-    if expected_n is not None and cloud.n != expected_n:
-        raise InputError(
-            f"{path}: embedding has {cloud.n} rows but the dataset has {expected_n} points"
-        )
-    return cloud

@@ -1,4 +1,4 @@
-"""Neighborhood-graph construction from point clouds or precomputed metrics.
+"""Neighborhood graphs of point clouds or metrics, and ``load_input``, the one data-file reader.
 
 Three rules are provided: the plain symmetric k-NN graph ("vanilla"), the
 epsilon-ball graph, and a density-adaptive k-NN graph whose per-point k
@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .metric import DistanceMatrix, Graph, InputError, _read_csv
+from .metric import DistanceMatrix, Graph, InputError, _read_csv, distance_matrix_from_array, load_edge_list
 
 logger = logging.getLogger(__name__)
+
+EDGE_EXTENSIONS = {".edges", ".edgelist", ".txt", ".tsv"}
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,30 @@ def _graph_from_neighbor_selection(idx, dist, k_per_point):
     return Graph.from_edges(n, np.column_stack((lo[first], hi[first], dist[take][first])))
 
 
-def load_point_cloud(path) -> PointCloud:
-    """Read a point-cloud CSV (one row per point); a header row is auto-skipped."""
-    return PointCloud(coords=_read_csv(path))
+def _looks_square_metric(arr):
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        return False
+    return (
+        np.allclose(np.diag(arr), 0.0, atol=1e-12)
+        and np.allclose(arr, arr.T, rtol=1e-9, atol=1e-12)
+        and np.all(arr >= 0)
+    )
+
+
+def load_input(path, fmt=None):
+    """Read any data file as ('graph', Graph), ('dist', DistanceMatrix) or ('points', PointCloud).
+
+    Auto-detection: edge-list extensions parse as edge lists; CSVs become a
+    distance matrix when square/symmetric/zero-diagonal and a point cloud
+    otherwise. ``fmt`` ('edgelist', 'distmatrix' or 'points') overrides it.
+    """
+    if fmt is None and Path(path).suffix.lower() in EDGE_EXTENSIONS:
+        fmt = "edgelist"
+    if fmt == "edgelist":
+        return "graph", load_edge_list(path)
+    if fmt not in (None, "distmatrix", "points"):
+        raise InputError(f"unknown format {fmt!r}")
+    arr = _read_csv(path)
+    if fmt == "distmatrix" or (fmt is None and _looks_square_metric(arr)):
+        return "dist", distance_matrix_from_array(arr)
+    return "points", PointCloud(coords=arr)

@@ -328,11 +328,8 @@ def load_edge_list(path) -> Graph:
     if not raw:
         raise InputError(f"{path}: no edges found")
     edges = np.array(raw)
-    if edges[:, :2].min() >= 1:  # 1-based ids
-        edges[:, :2] -= 1
-    return Graph.from_edges(int(edges[:, :2].max()) + 1, edges)
-
-
-def load_distance_csv(path) -> DistanceMatrix:
-    """Read a square, comma-separated distance matrix (a header row is skipped)."""
-    return distance_matrix_from_array(_read_csv(path))
+    base = 1 if edges[:, :2].min() >= 1 else 0
+    edges[:, :2] -= base
+    n = int(edges[:, :2].max()) + 1
+    logger.debug("edge list %s: %d-based ids, n=%d edges=%d", path, base, n, len(edges))
+    return Graph.from_edges(n, edges)

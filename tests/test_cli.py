@@ -446,6 +446,22 @@ class TestExternalEmbeddings:
         payload = json.loads((tmp_path / "ext.dim.json").read_text())
         assert payload["d_best"] == 3  # the d=3 "embedding" is the data itself
 
+    def test_two_files_for_one_dimension_exit_2(self, tmp_path, capsys):
+        inp = tmp_path / "pts.csv"
+        coords = np.random.default_rng(0).random((40, 3))
+        np.savetxt(inp, coords, delimiter=",")
+        embdir = tmp_path / "embs"
+        embdir.mkdir()
+        for name in ("x.d3.csv", "y.d3.csv", "z.d2.csv"):
+            np.savetxt(embdir / name, coords, delimiter=",")
+        argv = ["estimate-dim", str(inp), "--method", "external", "--embeddings-dir", str(embdir),
+                "--kmin", "5", "--kmax", "8", "-m", "1.0", "--out", str(tmp_path / "ext")]
+        assert cli.main(argv + ["--dims", "2,3"]) == 2
+        assert f"{embdir / 'x.d3.csv'} and {embdir / 'y.d3.csv'} both name dimension 3" in capsys.readouterr().err
+        assert not (tmp_path / "ext.dim.json").exists()
+        # a dimension that is not asked for may have any number of files
+        assert cli.main(argv + ["--dims", "2"]) == 0
+
     def test_missing_dimension_file_exits_2(self, tmp_path):
         inp = tmp_path / "pts.csv"
         np.savetxt(inp, np.random.default_rng(0).random((40, 3)), delimiter=",")
@@ -480,6 +496,36 @@ class TestEnvironmentOverrides:
         write_cycle(inp, 12)
         assert cli.main(["profile", str(inp), "--out", str(tmp_path / "p")]) == 2
         assert var in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "var, argv",
+        [
+            ("CURVPROF_SEED", ["estimate-dim", "{inp}", "--dims", "2"]),
+            ("CURVPROF_WORKERS", ["estimate-dim", "{inp}", "--dims", "2"]),
+            ("CURVPROF_SEED", ["generate", "--kind", "er", "--n", "10"]),
+        ],
+        ids=["estimate-dim-seed", "estimate-dim-workers", "generate-seed"],
+    )
+    def test_other_readers_of_a_bad_value_exit_2(self, tmp_path, monkeypatch, capsys, var, argv):
+        monkeypatch.setenv(var, "-1")
+        inp = tmp_path / "c.edges"
+        write_cycle(inp, 12)
+        assert cli.main([a.format(inp=inp) for a in argv] + ["--out", str(tmp_path / "p")]) == 2
+        assert var in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [inp]
+
+    @pytest.mark.parametrize("var", ["CURVPROF_SEED", "CURVPROF_WORKERS"])
+    def test_subcommands_without_the_option_ignore_the_variable(self, tmp_path, monkeypatch, capsys, var):
+        inp = tmp_path / "t.edges"
+        write_tree(inp, 3)
+        profile = str(tmp_path / "t.profile.json")
+        assert cli.main(["profile", str(inp), "-m", "1.0", "--out", str(tmp_path / "t")]) == 0
+        monkeypatch.setenv(var, "abc")
+        capsys.readouterr()
+        assert cli.main(["compare", profile, profile]) == 0
+        assert capsys.readouterr().out == "w1 = 0.0\n"
+        assert cli.main(["rho", str(inp), "0", "3", "4"]) == 0
+        assert cli.main(["embed", str(inp), "--dims", "2", "--out", str(tmp_path / "e")]) == 0
 
 
 def _child(code, threads, cwd=None):
@@ -786,10 +832,19 @@ class TestMalformedOptions:
             (["generate", "--kind", "circle", "--n", "10", "--radius", "-1"], None, "radius"),
             (["generate", "--kind", "circle", "--n", "10", "--radius", "nan"], None, "radius"),
             (["profile", "{pts}", "--eps", "nan"], None, "eps"),
+            # an option that the kind does not read: the first one is named
+            (["generate", "--kind", "tree", "--depth", "2", "--n", "7", "--seed", "3", "--avg-degree", "9"], None,
+             "--n does not apply to --kind tree"),
+            (["generate", "--kind", "er", "--n", "10", "--depth", "3"], None, "--depth does not apply to --kind er"),
+            (["generate", "--kind", "gaussian", "--n", "20", "--noise", "0.1"], None,
+             "--noise does not apply to --kind gaussian"),
+            (["estimate-dim", "{edges}", "--dims", "2", "--embeddings-dir", "{edges}"], None,
+             "--embeddings-dir applies to --method external only"),
         ],
         ids=["profile-seed", "estimate-dim-seed", "er-seed", "ws-seed", "plane-seed", "env-seed",
              "gaussian-extra-dims", "dla-negative-noise", "dla-nan-noise", "circle-zero-radius",
-             "circle-negative-radius", "circle-nan-radius", "eps-nan"],
+             "circle-negative-radius", "circle-nan-radius", "eps-nan", "tree-n", "er-depth", "gaussian-noise",
+             "embeddings-dir-without-external"],
     )
     def test_bad_value_names_itself_and_exits_2(self, tmp_path, monkeypatch, capsys, argv, env, named):
         edges, pts = tmp_path / "t.edges", tmp_path / "pts.csv"

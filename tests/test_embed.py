@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -7,9 +9,10 @@ from curvprof import (
     InputError,
     PointCloud,
     classical_mds,
+    cli,
     distance_matrix_from_array,
     isomap,
-    load_external_embedding,
+    load_input,
     shortest_path_matrix,
 )
 
@@ -122,23 +125,23 @@ class TestExternalEmbedding:
     def test_load_valid(self, tmp_path):
         p = tmp_path / "emb.csv"
         np.savetxt(p, np.random.default_rng(0).random((100, 2)), delimiter=",")
-        cloud = load_external_embedding(p, expected_n=100)
+        _, cloud = load_input(p, "points")
         assert cloud.n == 100 and cloud.dim == 2
 
     def test_row_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "emb.csv"
+        p = tmp_path / "emb_d2.csv"
         np.savetxt(p, np.random.default_rng(0).random((99, 2)), delimiter=",")
-        with pytest.raises(InputError, match="99"):
-            load_external_embedding(p, expected_n=100)
+        with pytest.raises(InputError, match=re.escape(f"{p}: embedding has 99 rows but the dataset has 100 points")):
+            cli._external_embeddings(tmp_path, [2], 100)
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("a,b\n" + "\n".join(f"{i}.0,{i}.5" for i in range(100)) + "\n")
-        cloud = load_external_embedding(p, expected_n=100)
+        _, cloud = load_input(p, "points")
         assert cloud.n == 100
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("a,b\nc,d\n1,2\n")
         with pytest.raises(InputError):
-            load_external_embedding(p)
+            load_input(p, "points")

@@ -8,7 +8,7 @@ from curvprof import (
     distance_matrix_from_array,
     epsilon_graph,
     knn_graph,
-    load_point_cloud,
+    load_input,
 )
 from curvprof.graphs import _neighbor_lists, _scores
 
@@ -176,15 +176,39 @@ class TestPointCloudIO:
     def test_load_plain(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("0.0,0.0\n1.0,0.5\n2.0,1.0\n")
-        cloud = load_point_cloud(p)
+        _, cloud = load_input(p, "points")
         assert cloud.n == 3 and cloud.dim == 2
 
     def test_header_auto_skipped(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("x,y\n0.0,0.0\n1.0,0.5\n")
-        cloud = load_point_cloud(p)
+        _, cloud = load_input(p, "points")
         assert cloud.n == 2
 
     def test_nan_rejected(self):
         with pytest.raises(InputError):
             PointCloud(coords=np.array([[0.0], [np.nan]]))
+
+
+class TestLoadInput:
+    # the square-metric test runs before distance_matrix_from_array: a near-zero diagonal
+    # is taken for a metric and then refused, and a 1 x 1 CSV is taken for a point cloud
+    @pytest.mark.parametrize(
+        "name, text, answer",
+        [
+            ("d.csv", "0,1,2\n1,0,1\n2,1,0\n", "dist"),
+            ("d.csv", "0,1\n1,1e-13\n", "diagonal must be zero"),
+            ("d.csv", "0\n", "at least 2 points"),
+            ("d.csv", "0,1\n2,0\n", "points"),
+            ("g.edges", "0 1\n1 2\n", "graph"),
+        ],
+        ids=["metric", "near-zero-diagonal", "one-by-one", "asymmetric", "edge-list"],
+    )
+    def test_auto_detection(self, tmp_path, name, text, answer):
+        p = tmp_path / name
+        p.write_text(text)
+        if answer in ("dist", "points", "graph"):
+            assert load_input(p)[0] == answer
+        else:
+            with pytest.raises(InputError, match=answer):
+                load_input(p)

@@ -8,8 +8,8 @@ from curvprof import (
     distance_matrix_from_array,
     gromov_products,
     lambda_measure,
-    load_distance_csv,
     load_edge_list,
+    load_input,
     shortest_path_matrix,
 )
 
@@ -245,6 +245,16 @@ class TestLoaders:
         assert g.n == 3
         assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
+    @pytest.mark.parametrize("text, base, n", [("0 1\n1 2\n", 0, 3), ("1 2\n2 3\n", 1, 3), ("1 2\n", 1, 2)])
+    def test_logs_the_detected_index_base(self, tmp_path, caplog, text, base, n):
+        # a 0-based file whose vertex 0 has no edges reads as 1-based: the log line shows it
+        p = tmp_path / "g.edges"
+        p.write_text(text)
+        with caplog.at_level("DEBUG", logger="curvprof.metric"):
+            load_edge_list(p)
+        edges = text.count("\n")
+        assert [r.getMessage() for r in caplog.records] == [f"edge list {p}: {base}-based ids, n={n} edges={edges}"]
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1 2 3\n")
@@ -254,11 +264,11 @@ class TestLoaders:
     def test_distance_csv(self, tmp_path):
         p = tmp_path / "d.csv"
         np.savetxt(p, np.array([[0.0, 1.0], [1.0, 0.0]]), delimiter=",")
-        D = load_distance_csv(p)
+        _, D = load_input(p, "distmatrix")
         assert D.d[0, 1] == 1.0
 
     def test_non_square_csv_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0,1,2\n1,0,3\n")
         with pytest.raises(InputError):
-            load_distance_csv(p)
+            load_input(p, "distmatrix")
