@@ -47,14 +47,11 @@ from .profile import (
     RHO_CIRCLE,
     RHO_PLANE,
     RHO_TREE,
-    CurvatureProfile,
-    ProfileRecord,
     build_profile,
     cluster_sample_subset,
     find_equilateral_triples,
     load_profile_json,
     profile_from_dict,
-    profile_to_dict,
     rho_general,
     rho_minmax,
     save_profile_json,

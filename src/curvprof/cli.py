@@ -50,14 +50,14 @@ EXIT_EMPTY = 3
 EXIT_INTERNAL = 4
 
 
-def _nonnegative_int(raw, name):
-    """``raw`` as an integer >= 0, else an InputError naming ``name``; numpy takes no negative seed."""
+def _nonnegative_int(raw, name, low=0):
+    """``raw`` as an integer >= ``low`` (0 or 1), else an InputError naming ``name``; numpy takes no negative seed."""
     try:
         value = int(raw)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise InputError(f"{name} must be a non-negative integer, got {raw!r}")
+        value = low - 1
+    if value < low:
+        raise InputError(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {raw!r}")
     return value
 
 
@@ -111,7 +111,8 @@ def _config_comment(cfg):
     return "config: " + json.dumps(cfg, sort_keys=True)
 
 
-def _parse_dims(spec):
+def _parse_dims(spec, n):
+    """The dimensions ``spec`` names, sorted; each bound is checked to lie in [1, n) before its range is built."""
     dims = set()
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -119,13 +120,15 @@ def _parse_dims(spec):
             continue
         lo, sep, hi = chunk.partition("-")
         try:
-            dims.update(range(int(lo), int(hi if sep else lo) + 1))
+            lo, hi = int(lo), int(hi if sep else lo)
         except ValueError as exc:
             raise InputError(f"--dims must look like '1-8' or '2,3,5', got {spec!r}") from exc
+        for bound in (lo, hi):
+            if not 1 <= bound < n:
+                raise InputError(f"--dims: dimension {bound} must satisfy 1 <= d < n={n}")
+        dims.update(range(lo, hi + 1))
     if not dims:
         raise InputError(f"no dimensions parsed from {spec!r}")
-    if min(dims) < 1:
-        raise InputError("dimensions must be >= 1")
     return sorted(dims)
 
 
@@ -162,9 +165,7 @@ def cmd_profile(args):
         typical="median" if args.median else "mean",
         cluster_sample=_parse_cluster_sample(args.cluster_sample),
     )
-    profile = replace(
-        profile, meta={**profile.meta, "config": cfg, "graph_params": graph_params, "input_kind": kind}
-    )
+    profile["meta"].update(config=cfg, graph_params=graph_params, input_kind=kind)
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     json_path = Path(f"{out}.profile.json")
     save_profile_json(profile, json_path)
@@ -174,11 +175,11 @@ def cmd_profile(args):
     if args.gnuplot_script:
         _write_gnuplot_script(f"{out}.gp", f"{out}.summary.csv")
     print(f"wrote {json_path}, {out}.long.csv, {out}.summary.csv")
-    if profile.is_empty:
+    if not profile["records"]:
         print("profile is empty: no equilateral triples at any scale", file=sys.stderr)
         return EXIT_EMPTY
-    for rec in profile.records:
-        print(f"r={rec.r:g} count={rec.count} rho={rec.mean_rho:.6f}")
+    for rec in profile["records"]:
+        print(f"r={rec['r']:g} count={rec['count']} rho={rec['mean_rho']:.6f}")
     return EXIT_OK
 
 
@@ -228,13 +229,15 @@ def cmd_rho(args):
 
 def cmd_embed(args):
     kind, data = load_input(args.input, args.format)
-    dims = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims, data.n)
     cfg = _resolved_config(args)
     out = Path(args.out) if args.out else Path(args.input).with_suffix("")
     if args.method == "mds":
         if args.k is not None:
             raise InputError("--k is the Isomap neighbour count; --method mds reads none")
         full = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
+    elif kind == "graph" and args.k is not None:
+        raise InputError("--k applies to point clouds and metrics only; this input is an edge list")
     elif kind != "graph" and args.k is None:
         raise InputError("isomap on a point cloud or metric needs --k")
     else:
@@ -263,7 +266,7 @@ def cmd_compare(args):
     if args.no_normalize_r:
         # raw r keeps the profiles' units, so the r axis must reach the largest
         # r of either profile (an empty profile fails in to_distribution below)
-        max_r = max((p.max_r() for p in (pa, pb) if not p.is_empty), default=1.0)
+        max_r = max((rec["r"] for p in (pa, pb) for rec in p["records"]), default=1.0)
         grid = replace(grid, r_range=(0.0, max_r))
     da = to_distribution(pa, grid, normalize_r=not args.no_normalize_r)
     db = to_distribution(pb, grid, normalize_r=not args.no_normalize_r)
@@ -313,12 +316,12 @@ def cmd_estimate_dim(args):
         args.kmin, args.kmax = 10, 15  # adaptive default for the original side
     D0 = _metric_from_input(kind, data, args)
     cfg = _resolved_config(args)
-    dims = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims, D0.n)
     grid = _parse_grid(args.grid)
     embed_k = args.embed_k if args.embed_k is not None else (args.kmin or args.k or 10)
 
     original = build_profile(D0, m=args.m, seed=args.seed, h=args.side_bin, workers=args.workers)
-    if original.is_empty:
+    if not original["records"]:
         raise EmptyResultError("original profile is empty")
 
     if args.method == "external":
@@ -524,10 +527,11 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        for name, var in (("seed", "CURVPROF_SEED"), ("workers", "CURVPROF_WORKERS")):
-            if getattr(args, name, 0) is None:  # the subcommand takes the option, and var is set
-                setattr(args, name, _nonnegative_int(os.environ[var], f"environment variable {var}"))
-        _nonnegative_int(getattr(args, "seed", 0), "--seed")
+        for name, var, low in (("seed", "CURVPROF_SEED", 0), ("workers", "CURVPROF_WORKERS", 1)):
+            if getattr(args, name, low) is None:  # the subcommand takes the option, and var is set
+                setattr(args, name, _nonnegative_int(os.environ[var], f"environment variable {var}", low))
+            else:
+                _nonnegative_int(getattr(args, name, low), f"--{name}", low)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,6 @@ def watts_strogatz(n, k, beta, seed=0) -> Graph:
             key = (min(i, j), max(i, j))
             if rng.random() >= beta:
                 continue
-            if key not in edges:
-                continue
             w = int(rng.integers(n))
             tries = 0
             while w == i or (min(i, w), max(i, w)) in edges:

@@ -18,7 +18,6 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,8 @@ RHO_PLANE = 2.0 / math.sqrt(3.0)
 RHO_CIRCLE = 2.0
 
 # absolute slack for the [1, 2] range check; float dust inside the slack is
-# clamped onto the bound, anything further out is a genuine bug
+# clamped onto the bound, anything further out means the input distances
+# break the triangle inequality
 _RHO_RANGE_SLACK = 1e-9
 
 DEFAULT_SIDE_BINS = 50
@@ -40,40 +40,12 @@ _EDGE_CHUNK = 8192  # cap on a round's edge tests in the triple search: bounds i
 _WINDOW_TESTS = 2048  # edge tests a round of the triple search aims at
 
 
-@dataclass(frozen=True)
-class ProfileRecord:
-    r: float
-    rho_values: tuple
-    mean_rho: float
-
-    @property
-    def count(self):
-        return len(self.rho_values)
-
-
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """Per-scale rho statistics; the geometric fingerprint of a metric space."""
-
-    records: tuple
-    meta: dict
-
-    @property
-    def is_empty(self):
-        return len(self.records) == 0
-
-    def max_r(self):
-        if self.is_empty:
-            raise InputError("empty profile has no scales")
-        return max(rec.r for rec in self.records)
-
-
 def _check_rho_range(rho):
     """Clamp an array of expansion factors onto [1, 2], or raise on the first one beyond the slack."""
     bad = rho[(rho < 1.0 - _RHO_RANGE_SLACK) | (rho > 2.0 + _RHO_RANGE_SLACK)]
     if bad.size:
         side = "below 1" if bad[0] < 1.0 else "above 2"
-        raise RuntimeError(f"expansion factor {float(bad[0])} {side}: metric input is inconsistent")
+        raise InputError(f"expansion factor {float(bad[0])} {side}: the distances break the triangle inequality")
     return np.clip(rho, 1.0, 2.0)
 
 
@@ -112,12 +84,14 @@ def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
     if n_clusters < 1 or per_cluster < 1:
         raise InputError("cluster count and per-cluster sample must be >= 1")
     n_clusters = min(n_clusters, D.n)
-    centers = [0]
-    while len(centers) < n_clusters:
-        nearest = D.d[centers].min(axis=0)
-        centers.append(int(nearest.argmax()))
-    assign = D.d[centers].argmin(axis=0)
-    rng = np.random.default_rng([seed, len(centers)])
+    # distance to the nearest centre so far, and that centre's index; a strict
+    # < keeps the earliest centre on ties
+    nearest, assign = D.d[0].copy(), np.zeros(D.n, dtype=np.intp)
+    for c in range(1, n_clusters):
+        row = D.d[int(nearest.argmax())]
+        assign[row < nearest] = c
+        np.minimum(nearest, row, out=nearest)
+    rng = np.random.default_rng([seed, n_clusters])
     subset = []
     for c in range(n_clusters):
         members = np.flatnonzero(assign == c)
@@ -281,7 +255,7 @@ def build_profile(
     workers=1,
     typical="mean",
     cluster_sample=None,
-) -> CurvatureProfile:
+) -> dict:
     """Scale-indexed expansion-factor profile of a distance matrix.
 
     Every vertex pair belongs to at most one scale, keyed once by
@@ -293,6 +267,11 @@ def build_profile(
     scale-local RNG derived from (seed, key), so the profile is
     reproducible and independent of the worker count. Scales with no
     triples are omitted.
+
+    The profile is the JSON document :func:`save_profile_json` writes:
+    ``{"meta": {...}, "records": [...]}``, one record per scale in
+    ascending ``r``, each ``{"r", "count", "mean_rho", "rho_values"}``
+    with ``rho_values`` a list of floats.
 
     ``typical`` selects the per-scale statistic stored in ``mean_rho``:
     "mean" (default) or "median". ``cluster_sample=(k, n)`` switches on the
@@ -326,7 +305,7 @@ def build_profile(
     def job(key):
         triples = find_equilateral_triples(D, keys == key, m=m, seed=[seed, key])
         label = float(key) if used_h is None else (key + 0.5) * used_h
-        return label, (tuple(rho_minmax(D, triples)[0].tolist()) if triples else ())
+        return label, (rho_minmax(D, triples)[0].tolist() if triples else [])
 
     if workers == 1 or len(scales) <= 1:
         results = [job(k) for k in scales]
@@ -339,7 +318,7 @@ def build_profile(
         if not rhos:
             continue
         stat = float(np.mean(rhos)) if typical == "mean" else float(np.median(rhos))
-        records.append(ProfileRecord(r=label / 2.0, rho_values=rhos, mean_rho=stat))
+        records.append({"r": label / 2.0, "count": len(rhos), "mean_rho": stat, "rho_values": rhos})
 
     meta = {
         "n": D.n,
@@ -351,29 +330,14 @@ def build_profile(
         "typical": typical,
         "cluster_sample": list(cluster_sample) if cluster_sample else None,
     }
-    return CurvatureProfile(records=tuple(records), meta=meta)
+    return {"meta": meta, "records": records}
 
 
 # -- serialization ----------------------------------------------------------
 
 
-def profile_to_dict(p: CurvatureProfile) -> dict:
-    return {
-        "meta": p.meta,
-        "records": [
-            {
-                "r": rec.r,
-                "count": rec.count,
-                "mean_rho": rec.mean_rho,
-                "rho_values": list(rec.rho_values),
-            }
-            for rec in p.records
-        ],
-    }
-
-
-def profile_from_dict(data) -> CurvatureProfile:
-    """Rebuild a stored profile, rejecting what no computed profile can hold.
+def profile_from_dict(data) -> dict:
+    """Check a stored profile and return it in the form :func:`build_profile` gives.
 
     A record's ``r`` must be finite and positive, its ``rho_values`` a list
     of finite values in [1, 2], and its ``count`` their number.
@@ -381,34 +345,33 @@ def profile_from_dict(data) -> CurvatureProfile:
     try:
         if not all(isinstance(rec["rho_values"], list) for rec in data["records"]):
             raise TypeError("rho_values must be a list")
-        records = tuple(
-            ProfileRecord(
-                r=float(rec["r"]),
-                rho_values=tuple(float(x) for x in rec["rho_values"]),
-                mean_rho=float(rec["mean_rho"]),
-            )
+        records = [
+            {"r": float(rec["r"]), "rho_values": [float(x) for x in rec["rho_values"]],
+             "mean_rho": float(rec["mean_rho"])}
             for rec in data["records"]
-        )
+        ]
         counts = [int(rec["count"]) for rec in data["records"]]
         meta = dict(data["meta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed profile payload: {exc}") from exc
     for count, rec in zip(counts, records):
-        if count != rec.count:
-            raise InputError(f"record r={rec.r!r}: count {count} != {rec.count} rho values")
-        if not (math.isfinite(rec.r) and rec.r > 0):
-            raise InputError(f"record r={rec.r!r}: r must be finite and > 0")
-        bad = [x for x in rec.rho_values if not 1.0 <= x <= 2.0]
+        r, rhos = rec["r"], rec["rho_values"]
+        if count != len(rhos):
+            raise InputError(f"record r={r!r}: count {count} != {len(rhos)} rho values")
+        if not (math.isfinite(r) and r > 0):
+            raise InputError(f"record r={r!r}: r must be finite and > 0")
+        bad = [x for x in rhos if not 1.0 <= x <= 2.0]
         if bad:
-            raise InputError(f"record r={rec.r!r}: rho value {bad[0]!r} is not a finite value in [1, 2]")
-    return CurvatureProfile(records=records, meta=meta)
+            raise InputError(f"record r={r!r}: rho value {bad[0]!r} is not a finite value in [1, 2]")
+        rec["count"] = count
+    return {"meta": meta, "records": records}
 
 
-def save_profile_json(p: CurvatureProfile, path):
-    _write_json(path, profile_to_dict(p))
+def save_profile_json(p, path):
+    _write_json(path, p)
 
 
-def load_profile_json(path) -> CurvatureProfile:
+def load_profile_json(path) -> dict:
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -428,13 +391,13 @@ def _write_csv(path, header_comment, columns, lines):
         fh.writelines(lines)
 
 
-def write_long_csv(p: CurvatureProfile, path, header_comment=None):
+def write_long_csv(p, path, header_comment=None):
     """One row per triangle: columns r,rho."""
-    rows = (f"{rec.r!r},{rho!r}\n" for rec in p.records for rho in rec.rho_values)
+    rows = (f"{rec['r']!r},{rho!r}\n" for rec in p["records"] for rho in rec["rho_values"])
     _write_csv(path, header_comment, "r,rho", rows)
 
 
-def write_summary_csv(p: CurvatureProfile, path, header_comment=None):
+def write_summary_csv(p, path, header_comment=None):
     """One row per scale: columns r,count,mean_rho."""
-    rows = (f"{rec.r!r},{rec.count},{rec.mean_rho!r}\n" for rec in p.records)
+    rows = (f"{rec['r']!r},{rec['count']},{rec['mean_rho']!r}\n" for rec in p["records"])
     _write_csv(path, header_comment, "r,count,mean_rho", rows)

@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .metric import EmptyResultError, InputError
-from .profile import CurvatureProfile
 
 MASS_SUM_TOL = 1e-12
 
@@ -76,22 +75,23 @@ class ProfileDistribution:
         self.mass.setflags(write=False)
 
 
-def to_distribution(profile: CurvatureProfile, grid=None, normalize_r=True) -> ProfileDistribution:
+def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution:
     """Snap a profile's (r, rho) triangle observations onto the grid.
 
     Each triangle is one observation at (r / max_r, rho) (raw r when
     ``normalize_r`` is off); nearest-node assignment runs through a kd-tree
     and node mass is the snapped count over the total triangle count.
     """
-    if profile.is_empty:
+    records = profile["records"]
+    if not records:
         raise EmptyResultError("cannot build a distribution from an empty profile")
     grid = grid or GridSpec()
-    r = np.array([rec.r for rec in profile.records])
+    r = np.array([rec["r"] for rec in records])
     if normalize_r:
-        r /= profile.max_r()
+        r /= max(rec["r"] for rec in records)
     obs = np.column_stack((
-        np.repeat(r, [rec.count for rec in profile.records]),
-        np.concatenate([rec.rho_values for rec in profile.records]),
+        np.repeat(r, [len(rec["rho_values"]) for rec in records]),
+        np.concatenate([rec["rho_values"] for rec in records]),
     ))
     nodes = grid.nodes()
     _, node_idx = cKDTree(nodes).query(obs)
@@ -166,7 +166,7 @@ def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=Fal
     return cost, flows
 
 
-def estimate_dimension(original: CurvatureProfile, embedded, grid=None, on_empty="error"):
+def estimate_dimension(original, embedded, grid=None, on_empty="error"):
     """W1 of every candidate embedding against the original profile.
 
     ``embedded`` maps target dimension -> profile; every profile's r is

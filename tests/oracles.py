@@ -120,17 +120,38 @@ def to_distribution_loop(profile, grid, normalize_r):
 
     The observations are built one Python tuple per rho value.
     """
-    max_r = profile.max_r()
+    max_r = max(rec["r"] for rec in profile["records"])
     obs = []
-    for rec in profile.records:
-        r = rec.r / max_r if normalize_r else rec.r
-        for rho in rec.rho_values:
+    for rec in profile["records"]:
+        r = rec["r"] / max_r if normalize_r else rec["r"]
+        for rho in rec["rho_values"]:
             obs.append((r, rho))
     obs = np.asarray(obs)
     nodes = grid.nodes()
     _, node_idx = cKDTree(nodes).query(obs)
     occupied, counts = np.unique(node_idx, return_counts=True)
     return obs, nodes[occupied], (counts / counts.sum()).astype(np.float64)
+
+
+def cluster_sample_subset_rescan(D, n_clusters, per_cluster, seed=0):
+    """``cluster_sample_subset``, taking each centre's cluster distances over every centre so far.
+
+    Costs O(k^2 n) for k centres; the library keeps a running minimum.
+    """
+    n_clusters = min(n_clusters, D.n)
+    centers = [0]
+    while len(centers) < n_clusters:
+        nearest = D.d[centers].min(axis=0)
+        centers.append(int(nearest.argmax()))
+    assign = D.d[centers].argmin(axis=0)
+    rng = np.random.default_rng([seed, len(centers)])
+    subset = []
+    for c in range(n_clusters):
+        members = np.flatnonzero(assign == c)
+        take = min(per_cluster, members.size)
+        if take:
+            subset.extend(int(v) for v in rng.choice(members, size=take, replace=False))
+    return np.array(sorted(subset), dtype=np.int64)
 
 
 def enumerate_equilateral(D, lo, hi):

@@ -38,8 +38,8 @@ RHO_REGISTRY = []
 
 
 def register(profile):
-    for rec in profile.records:
-        RHO_REGISTRY.extend(rec.rho_values)
+    for rec in profile["records"]:
+        RHO_REGISTRY.extend(rec["rho_values"])
     return profile
 
 
@@ -78,18 +78,18 @@ def plane_profile():
 def test_criterion_01_tree_reference(tree_profile, reporter):
     profile, elapsed = tree_profile
     assert elapsed < 10.0, f"tree profile took {elapsed:.1f}s"
-    assert not profile.is_empty
-    for rec in profile.records:
-        assert rec.mean_rho == 1.0
-        assert all(x == 1.0 for x in rec.rho_values)
-    reporter(1, f"binary tree depth 8: {len(profile.records)} scales all at rho=1.0 in {elapsed:.1f}s")
+    assert profile["records"]
+    for rec in profile["records"]:
+        assert rec["mean_rho"] == 1.0
+        assert all(x == 1.0 for x in rec["rho_values"])
+    reporter(1, f"binary tree depth 8: {len(profile['records'])} scales all at rho=1.0 in {elapsed:.1f}s")
 
 
 def test_criterion_02_circle_reference(circle_profile, reporter):
-    populated = [rec for rec in circle_profile.records if rec.count >= 5]
+    populated = [rec for rec in circle_profile["records"] if rec["count"] >= 5]
     assert populated, "no scale collected at least 5 triangles"
     for rec in populated:
-        assert rec.mean_rho >= 1.9, f"scale r={rec.r}: mean rho {rec.mean_rho}"
+        assert rec["mean_rho"] >= 1.9, f"scale r={rec['r']}: mean rho {rec['mean_rho']}"
     # three exactly equidistant points: the arc metric is the constant matrix
     side = 2 * math.pi / 3
     D3 = distance_matrix_from_array(side * (1 - np.eye(3)))
@@ -97,14 +97,14 @@ def test_criterion_02_circle_reference(circle_profile, reporter):
     RHO_REGISTRY.extend(rho)
     assert rho == [2.0]
     reporter(2, f"circle 500: {len(populated)} populated scale(s), min mean rho "
-              f"{min(r.mean_rho for r in populated):.4f}; equidistant triple rho == 2.0 exactly")
+              f"{min(r['mean_rho'] for r in populated):.4f}; equidistant triple rho == 2.0 exactly")
 
 
 def test_criterion_03_plane_reference(plane_profile, reporter):
-    max_r = plane_profile.max_r()
-    mid = [rec for rec in plane_profile.records if 0.2 * max_r <= rec.r <= 0.6 * max_r]
+    max_r = max(rec["r"] for rec in plane_profile["records"])
+    mid = [rec for rec in plane_profile["records"] if 0.2 * max_r <= rec["r"] <= 0.6 * max_r]
     assert mid, "no mid-range scales"
-    pooled = [x for rec in mid for x in rec.rho_values]
+    pooled = [x for rec in mid for x in rec["rho_values"]]
     mean = float(np.mean(pooled))
     assert 1.05 <= mean <= 1.25, f"mid-scale mean rho {mean}"
     reporter(3, f"plane 2000 adaptive(15,20): mid-scale mean rho {mean:.4f} "
@@ -139,14 +139,14 @@ def test_criterion_06_scale_invariance(reporter):
     S = D.scaled(7.3)
     p = register(build_profile(D, m=1.0, seed=3))
     ps = register(build_profile(S, m=1.0, seed=3))
-    assert not p.is_empty
-    assert len(p.records) == len(ps.records)
-    for a, b in zip(p.records, ps.records):
-        assert abs(b.r - 7.3 * a.r) <= 1e-12 * abs(7.3 * a.r)
-        assert a.count == b.count
-        for x, y in zip(a.rho_values, b.rho_values):
+    assert p["records"]
+    assert len(p["records"]) == len(ps["records"])
+    for a, b in zip(p["records"], ps["records"]):
+        assert abs(b["r"] - 7.3 * a["r"]) <= 1e-12 * abs(7.3 * a["r"])
+        assert a["count"] == b["count"]
+        for x, y in zip(a["rho_values"], b["rho_values"]):
             assert abs(x - y) <= 1e-12
-    reporter(6, f"scaling by 7.3: {sum(r.count for r in p.records)} rho values unchanged to 1e-12, "
+    reporter(6, f"scaling by 7.3: {sum(r['count'] for r in p['records'])} rho values unchanged to 1e-12, "
               "all r scaled")
 
 
@@ -196,7 +196,7 @@ def _dimension_run(n, seed):
         emb = classical_mds(ambient, d)
         Dd = shortest_path_matrix(knn_graph(emb.points, 10))
         prof = build_profile(Dd, m=0.1, seed=seed, workers=2)
-        if not prof.is_empty:
+        if prof["records"]:
             register(prof)
         profiles[d] = prof
     d_best, curve = estimate_dimension(original, profiles, on_empty="inf")
@@ -232,9 +232,9 @@ def test_criterion_10_network_profiles(reporter):
         for seed in range(5):
             D = shortest_path_matrix(make(seed))
             p = register(build_profile(D, m=0.1, seed=seed, workers=2))
-            assert len(p.records) >= 3, f"{name} seed {seed}: only {len(p.records)} scales"
+            assert len(p["records"]) >= 3, f"{name} seed {seed}: only {len(p['records'])} scales"
             if name == "WS":
-                votes += p.records[-1].mean_rho <= p.records[0].mean_rho
+                votes += p["records"][-1]["mean_rho"] <= p["records"][0]["mean_rho"]
         if name == "WS":
             assert votes >= 3, f"WS large-scale flattening seen in only {votes}/5 seeds"
     elapsed = time.time() - t0

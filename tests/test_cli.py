@@ -678,6 +678,16 @@ class TestPrecomputedMetric:
         assert rc == 0
         assert "d(0,1) = 1   d(0,2) = 2   d(1,2) = 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["profile"], ["rho", "0", "1", "2"]], ids=["profile", "rho"])
+    def test_distances_that_break_the_triangle_inequality_exit_2(self, tmp_path, capsys, command):
+        # an equilateral triple of side 2 whose three corners lie 0.5 from a fourth point: rho = 0.5
+        inp = tmp_path / "d.csv"
+        inp.write_text("0,2,2,0.5\n2,0,2,0.5\n2,2,0,0.5\n0.5,0.5,0.5,0\n")
+        argv = [command[0], str(inp), *command[1:]]
+        assert cli.main(argv + (["--out", str(tmp_path / "p")] if command[0] == "profile" else [])) == 2
+        err = capsys.readouterr().err
+        assert err == "error: expansion factor 0.5 below 1: the distances break the triangle inequality\n"
+
 
 class TestRemovedOptions:
     """Options that changed no output are gone: argparse rejects them before any file is written."""
@@ -712,10 +722,19 @@ class TestRemovedOptions:
 
 class TestParsing:
     def test_dims_parser(self):
-        assert cli._parse_dims("1-4") == [1, 2, 3, 4]
-        assert cli._parse_dims("2,5,3") == [2, 3, 5]
+        assert cli._parse_dims("1-4", 60) == [1, 2, 3, 4]
+        assert cli._parse_dims("2,5,3", 60) == [2, 3, 5]
         with pytest.raises(Exception):
-            cli._parse_dims("0")
+            cli._parse_dims("0", 60)
+
+    def test_dims_bounds_are_checked_before_the_range_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "range", lambda *a: built.append(a) or range(*a), raising=False)
+        with pytest.raises(curvprof.InputError, match=r"--dims: dimension 1000000000 must satisfy 1 <= d < n=60"):
+            cli._parse_dims("1-1000000000", 60)
+        assert built == []
+        assert cli._parse_dims("2-4,7", 60) == [2, 3, 4, 7]
+        assert built == [(2, 5), (7, 8)]
 
     def test_grid_parser(self):
         g = cli._parse_grid("25x40")
@@ -730,6 +749,28 @@ class TestMalformedOptions:
         np.savetxt(inp, plane_sample(30, seed=2).coords, delimiter=",")
         assert cli.main([command, str(inp), "--dims", spec, "--out", str(tmp_path / "e")]) == 2
         assert repr(spec) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "{pts}", "--dims", "1-500"],
+            ["embed", "{pts}", "--method", "isomap", "--k", "5", "--dims", "1-500"],
+            ["estimate-dim", "{pts}", "--dims", "1-500"],
+            ["estimate-dim", "{pts}", "--method", "isomap", "--dims", "1-500"],
+            ["estimate-dim", "{pts}", "--method", "external", "--embeddings-dir", "{embs}", "--dims", "2,60"],
+        ],
+        ids=["embed-mds", "embed-isomap", "estimate-dim-mds", "estimate-dim-isomap", "estimate-dim-external"],
+    )
+    def test_dims_beyond_the_point_count_exit_2(self, tmp_path, capsys, argv):
+        inp, embs = tmp_path / "pts.csv", tmp_path / "embs"
+        np.savetxt(inp, plane_sample(60, seed=2).coords, delimiter=",")
+        embs.mkdir()
+        before = sorted(tmp_path.iterdir())
+        args = [a.format(pts=inp, embs=embs) for a in argv]
+        assert cli.main(args + ["--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dims") and "n=60" in err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("grid", ["0x5", "5x0"])
     def test_zero_sized_grid_exits_2(self, tmp_path, capsys, grid):
@@ -774,8 +815,9 @@ class TestMalformedOptions:
             (["rho", "{}", "0", "1", "2", "--eps", "0.1"], "--eps"),
             (["estimate-dim", "{}", "--dims", "2", "--kmin", "3", "--kmax", "4"], "--kmin, --kmax"),
             (["profile", "{}", "-m", "1.0", "--density-k-direction", "desc"], "--density-k-direction"),
+            (["embed", "{}", "--method", "isomap", "--k", "5", "--dims", "1"], "--k"),
         ],
-        ids=["profile-k", "rho-eps", "estimate-dim-kmin-kmax", "profile-direction"],
+        ids=["profile-k", "rho-eps", "estimate-dim-kmin-kmax", "profile-direction", "embed-isomap-k"],
     )
     def test_graph_rule_on_edge_list_exits_2(self, tmp_path, capsys, argv, named):
         # an edge list is already a graph: a graph rule would be recorded but never read
@@ -824,6 +866,9 @@ class TestMalformedOptions:
             (["generate", "--kind", "ws", "--n", "10", "--seed", "-1"], None, "--seed"),
             (["generate", "--kind", "plane", "--n", "10", "--seed", "-1"], None, "--seed"),
             (["profile", "{edges}"], "-2", "CURVPROF_SEED"),
+            (["profile", "{edges}", "--workers", "0"], None, "--workers"),
+            (["estimate-dim", "{edges}", "--dims", "2", "--workers", "0"], None, "--workers"),
+            (["profile", "{edges}"], "0", "CURVPROF_WORKERS"),
             (["generate", "--kind", "gaussian", "--n", "20", "--dim", "2", "--extra-dims", "-2"], None,
              "extra_dims"),
             (["generate", "--kind", "dla", "--branches", "3", "--length", "5", "--noise", "-1"], None, "noise"),
@@ -842,6 +887,7 @@ class TestMalformedOptions:
              "--embeddings-dir applies to --method external only"),
         ],
         ids=["profile-seed", "estimate-dim-seed", "er-seed", "ws-seed", "plane-seed", "env-seed",
+             "profile-workers", "estimate-dim-workers", "env-workers",
              "gaussian-extra-dims", "dla-negative-noise", "dla-nan-noise", "circle-zero-radius",
              "circle-negative-radius", "circle-nan-radius", "eps-nan", "tree-n", "er-depth", "gaussian-noise",
              "embeddings-dir-without-external"],
@@ -850,8 +896,8 @@ class TestMalformedOptions:
         edges, pts = tmp_path / "t.edges", tmp_path / "pts.csv"
         edges.write_text("0 1\n1 2\n0 2\n2 3\n")
         np.savetxt(pts, plane_sample(30, seed=2).coords, delimiter=",")
-        if env is not None:
-            monkeypatch.setenv("CURVPROF_SEED", env)
+        if env is not None:  # the variable is the one the message names
+            monkeypatch.setenv(named, env)
         before = sorted(tmp_path.iterdir())
         args = [a.format(edges=edges, pts=pts) for a in argv]
         assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2

@@ -84,10 +84,10 @@ class TestCircle:
         assert np.array_equal(D2.d, 2.0 * D1.d)
         p1 = build_profile(D1, m=1.0, seed=0)
         p2 = build_profile(D2, m=1.0, seed=0)
-        assert len(p1.records) == len(p2.records)
-        for a, b in zip(p1.records, p2.records):
-            assert b.r == pytest.approx(2.0 * a.r)
-            assert b.rho_values == pytest.approx(a.rho_values)
+        assert len(p1["records"]) == len(p2["records"])
+        for a, b in zip(p1["records"], p2["records"]):
+            assert b["r"] == pytest.approx(2.0 * a["r"])
+            assert b["rho_values"] == pytest.approx(a["rho_values"])
 
 
 class TestPlaneAndTree:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from curvprof import (
     shortest_path_matrix,
     tree_graph,
 )
-from curvprof.profile import RHO_PLANE, _side_keys, profile_to_dict
+from curvprof.profile import RHO_PLANE, _side_keys, save_profile_json
 
 
 def cycle(n):
@@ -36,6 +37,19 @@ def star():
 
 def half_side(D, a, b, c):
     return float(max(D.d[a, b], D.d[a, c], D.d[b, c])) / 2
+
+
+# build_profile options that change the profile document: the statistic and the hybrid variant
+PROFILE_OPTIONS = [
+    {}, {"typical": "median"}, {"cluster_sample": (4, 5)}, {"typical": "median", "cluster_sample": (3, 6)}
+]
+
+
+def er_profile(options, weighted):
+    rng = np.random.default_rng(3)
+    edges = [(a, b, float(rng.uniform(0.5, 1.5)) if weighted else 1.0)
+             for a, b, _ in oracles.random_connected_er(rng, 40, 0.12)]
+    return build_profile(shortest_path_matrix(Graph.from_edges(40, edges)), m=1.0, seed=3, **options)
 
 
 class TestFindTriples:
@@ -181,32 +195,32 @@ class TestBuildProfile:
     def test_binary_tree_profile_is_exactly_one(self):
         D = shortest_path_matrix(tree_graph(2, 6))
         p = build_profile(D, m=1.0, seed=0)
-        assert not p.is_empty
-        for rec in p.records:
-            assert rec.mean_rho == 1.0
-            assert all(x == 1.0 for x in rec.rho_values)
+        assert p["records"]
+        for rec in p["records"]:
+            assert rec["mean_rho"] == 1.0
+            assert all(x == 1.0 for x in rec["rho_values"])
         # unweighted-tree equilateral sides are even
-        assert all((2 * rec.r) % 2 == 0 for rec in p.records)
+        assert all((2 * rec["r"]) % 2 == 0 for rec in p["records"])
 
     def test_circle_sample_hits_high_rho(self):
         D = circle_sample(400, seed=3)
         p = build_profile(D, m=1.0, seed=3)
-        assert not p.is_empty
-        for rec in p.records:
-            if rec.count >= 5:
-                assert rec.mean_rho >= 1.9
+        assert p["records"]
+        for rec in p["records"]:
+            if rec["count"] >= 5:
+                assert rec["mean_rho"] >= 1.9
 
     def test_records_sorted_and_counts_consistent(self):
         rng = np.random.default_rng(5)
         edges = oracles.random_connected_er(rng, 40, 0.12)
         D = shortest_path_matrix(Graph.from_edges(40, edges))
         p = build_profile(D, m=1.0, seed=5)
-        rs = [rec.r for rec in p.records]
+        rs = [rec["r"] for rec in p["records"]]
         assert rs == sorted(rs) and len(set(rs)) == len(rs)
-        for rec in p.records:
-            assert rec.count == len(rec.rho_values)
-            assert rec.count <= 40
-            assert rec.mean_rho == pytest.approx(float(np.mean(rec.rho_values)))
+        for rec in p["records"]:
+            assert rec["count"] == len(rec["rho_values"])
+            assert rec["count"] <= 40
+            assert rec["mean_rho"] == pytest.approx(float(np.mean(rec["rho_values"])))
 
     def test_determinism_across_workers(self):
         rng = np.random.default_rng(6)
@@ -214,7 +228,7 @@ class TestBuildProfile:
         D = shortest_path_matrix(Graph.from_edges(60, edges))
         p1 = build_profile(D, m=0.3, seed=9, workers=1)
         p8 = build_profile(D, m=0.3, seed=9, workers=8)
-        assert p1.records == p8.records
+        assert p1["records"] == p8["records"]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
@@ -223,19 +237,19 @@ class TestBuildProfile:
         S = D.scaled(7.3)
         p = build_profile(D, m=1.0, seed=1)
         ps = build_profile(S, m=1.0, seed=1)
-        assert len(p.records) == len(ps.records)
-        for a, b in zip(p.records, ps.records):
-            assert b.r == pytest.approx(7.3 * a.r, rel=1e-12)
-            assert a.count == b.count
-            for x, y in zip(a.rho_values, b.rho_values):
+        assert len(p["records"]) == len(ps["records"])
+        for a, b in zip(p["records"], ps["records"]):
+            assert b["r"] == pytest.approx(7.3 * a["r"], rel=1e-12)
+            assert a["count"] == b["count"]
+            for x, y in zip(a["rho_values"], b["rho_values"]):
                 assert y == pytest.approx(x, rel=1e-12)
 
     def test_median_flag(self):
         D = cycle(6)
         pm = build_profile(D, m=1.0, seed=0, typical="median")
-        assert pm.meta["typical"] == "median"
-        for rec in pm.records:
-            assert rec.mean_rho == float(np.median(rec.rho_values))
+        assert pm["meta"]["typical"] == "median"
+        for rec in pm["records"]:
+            assert rec["mean_rho"] == float(np.median(rec["rho_values"]))
 
     def test_rho_in_range_everywhere(self):
         for seed in range(3):
@@ -243,13 +257,13 @@ class TestBuildProfile:
             edges = oracles.random_connected_er(rng, 35, 0.15)
             D = shortest_path_matrix(Graph.from_edges(35, edges))
             p = build_profile(D, m=1.0, seed=seed)
-            for rec in p.records:
-                assert all(1.0 <= x <= 2.0 for x in rec.rho_values)
+            for rec in p["records"]:
+                assert all(1.0 <= x <= 2.0 for x in rec["rho_values"])
 
     def test_empty_graph_gives_empty_profile(self):
         D = shortest_path_matrix(Graph.from_edges(3, [(0, 1)]))
         p = build_profile(D, m=1.0, seed=0)
-        assert p.is_empty
+        assert not p["records"]
 
     def test_integer_metric_skips_sides_that_round_to_zero(self):
         # a 1e-12 edge keeps the metric integer-valued but its side rounds to 0
@@ -257,7 +271,7 @@ class TestBuildProfile:
         D = shortest_path_matrix(Graph.from_edges(4, edges))
         assert D.integer_valued
         p = build_profile(D, m=1.0, seed=0)
-        assert [rec.r for rec in p.records] == [0.5]
+        assert [rec["r"] for rec in p["records"]] == [0.5]
 
     def test_cluster_sample_restricts_triple_membership(self):
         from curvprof import cluster_sample_subset
@@ -268,20 +282,20 @@ class TestBuildProfile:
         subset = set(cluster_sample_subset(D, 4, 5, seed=2).tolist())
         assert len(subset) <= 20
         p = build_profile(D, m=1.0, seed=2, cluster_sample=(4, 5))
-        assert p.meta["cluster_sample"] == [4, 5]
-        for rec in p.records:
-            assert rec.count <= 50
+        assert p["meta"]["cluster_sample"] == [4, 5]
+        for rec in p["records"]:
+            assert rec["count"] <= 50
         full = build_profile(D, m=1.0, seed=2)
-        assert sum(r.count for r in p.records) <= sum(r.count for r in full.records)
+        assert sum(r["count"] for r in p["records"]) <= sum(r["count"] for r in full["records"])
         # membership restriction is real: rebuild the triples and check them
-        for rec in p.records:
+        for rec in p["records"]:
             outside = np.array([v not in subset for v in range(D.n)])
             keys = _side_keys(D, None)
             keys[outside] = 0
             keys[:, outside] = 0
-            k = int(2 * rec.r)
+            k = int(2 * rec["r"])
             ts = find_equilateral_triples(D, keys == k, m=1.0, seed=[2, k])
-            assert len(ts) == rec.count
+            assert len(ts) == rec["count"]
             for t in ts:
                 assert set(t) <= subset
 
@@ -289,7 +303,7 @@ class TestBuildProfile:
         D = cycle(20)
         a = build_profile(D, m=1.0, seed=4, cluster_sample=(3, 4))
         b = build_profile(D, m=1.0, seed=4, cluster_sample=(3, 4))
-        assert a.records == b.records
+        assert a["records"] == b["records"]
 
     def test_weighted_binning_rule(self):
         rng = np.random.default_rng(8)
@@ -297,10 +311,10 @@ class TestBuildProfile:
         D = shortest_path_matrix(Graph.from_edges(20, edges))
         h = D.diameter / 10
         p = build_profile(D, m=1.0, seed=0, h=h)
-        assert p.meta["side_bin"] == h
-        for rec in p.records:
-            k = round(2 * rec.r / h - 0.5)
-            assert rec.r == pytest.approx((k + 0.5) * h / 2)
+        assert p["meta"]["side_bin"] == h
+        for rec in p["records"]:
+            k = round(2 * rec["r"] / h - 0.5)
+            assert rec["r"] == pytest.approx((k + 0.5) * h / 2)
             assert k >= 1
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.5])
@@ -327,11 +341,11 @@ class TestBuildProfile:
         # floor(d / h) keys the triangle side 1.7 one window above the one holding it
         D = shortest_path_matrix(Graph.from_edges(51, [(i, (i + 1) % 51, 0.1) for i in range(51)]))
         p = build_profile(D, m=1.0, seed=0)
-        assert len(p.records) == 1
-        assert p.records[0].rho_values == (2.0,) * 17
+        assert len(p["records"]) == 1
+        assert p["records"][0]["rho_values"] == [2.0] * 17
         # the record is labelled by the window [k*h, (k+1)*h) that holds the side
-        h, side = p.meta["side_bin"], D.d[0, 17]
-        k = round(2 * p.records[0].r / h - 0.5)
+        h, side = p["meta"]["side_bin"], D.d[0, 17]
+        k = round(2 * p["records"][0]["r"] / h - 0.5)
         assert k * h <= side < (k + 1) * h
 
     # the rho gather holds two t x n arrays, and t grows with m
@@ -374,12 +388,19 @@ class TestClosedFormAndSerialization:
     def test_plane_reference_constant(self):
         assert RHO_PLANE == pytest.approx(2 / math.sqrt(3))
 
+    @pytest.mark.parametrize("options", PROFILE_OPTIONS, ids=["mean", "median", "cluster-sample", "both"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_profile_is_the_json_document_it_writes(self, tmp_path, options, weighted):
+        p = er_profile(options, weighted)
+        assert p["records"]
+        save_profile_json(p, tmp_path / "p.json")
+        assert json.loads((tmp_path / "p.json").read_text()) == p
+
     def test_json_roundtrip(self):
-        D = cycle(6)
-        p = build_profile(D, m=1.0, seed=0)
-        q = profile_from_dict(profile_to_dict(p))
-        assert q.records == p.records
-        assert q.meta == p.meta
+        for weighted in (False, True):
+            for options in PROFILE_OPTIONS:
+                p = er_profile(options, weighted)
+                assert profile_from_dict(json.loads(json.dumps(p))) == p
 
     def test_equidistant_arc_triple_exact_two(self):
         side = 2 * math.pi / 3

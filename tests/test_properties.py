@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree
 
 import oracles
 from curvprof import (
-    CurvatureProfile,
     DistanceMatrix,
     Graph,
     GridSpec,
@@ -38,7 +37,6 @@ from curvprof.profile import (
     _RHO_RANGE_SLACK,
     _WINDOW_TESTS,
     DEFAULT_SIDE_BINS,
-    ProfileRecord,
     _check_rho_range,
     _side_keys,
     cluster_sample_subset,
@@ -298,6 +296,23 @@ def test_build_profile_searches_each_key_once_in_ascending_order(D, cluster_samp
     with mock.patch.object(profile_module, "find_equilateral_triples", record):
         build_profile(D, m=1.0, seed=seed, cluster_sample=cluster_sample)
     assert searched == sorted(set(keys.ravel().tolist()) - {0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.one_of(
+        small_metrics(),
+        st.builds(lambda n, dim, seed: _as_metric(_lattice(n, dim, seed, levels=2)),
+                  st.integers(2, 14), st.integers(1, 3), st.integers(0, 2**32 - 1)),
+    ),
+    n_clusters=st.integers(1, 16),
+    per_cluster=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cluster_sample_subset_equals_the_rescanning_reference(D, n_clusters, per_cluster, seed):
+    # small_metrics cuts some graphs into components; 2-level lattices repeat points
+    got = cluster_sample_subset(D, n_clusters, per_cluster, seed=seed)
+    assert got.tobytes() == oracles.cluster_sample_subset_rescan(D, n_clusters, per_cluster, seed=seed).tobytes()
 
 
 def _random_side_mask(n, density, seed, flips=0.0):
@@ -564,8 +579,8 @@ def connected_metrics(draw):
 @given(D=connected_metrics(), m=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_profile_rho_lies_in_unit_interval(D, m, seed):
     assert D.connected
-    for rec in build_profile(D, m=m, seed=seed).records:
-        assert all(1.0 <= x <= 2.0 for x in rec.rho_values)
+    for rec in build_profile(D, m=m, seed=seed)["records"]:
+        assert all(1.0 <= x <= 2.0 for x in rec["rho_values"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -588,9 +603,9 @@ def test_binned_profile_is_invariant_under_power_of_two_scaling(D, k, bins, m, s
     h = None if bins is None else D.diameter / bins  # None: both default to diameter / 50
     p = build_profile(D, m=m, seed=seed, h=h)
     ps = build_profile(S, m=m, seed=seed, h=None if h is None else c * h)
-    assert [c * rec.r for rec in p.records] == [rec.r for rec in ps.records]
-    assert [np.array(rec.rho_values).tobytes() for rec in p.records] == [
-        np.array(rec.rho_values).tobytes() for rec in ps.records
+    assert [c * rec["r"] for rec in p["records"]] == [rec["r"] for rec in ps["records"]]
+    assert [np.array(rec["rho_values"]).tobytes() for rec in p["records"]] == [
+        np.array(rec["rho_values"]).tobytes() for rec in ps["records"]
     ]
 
 
@@ -598,7 +613,7 @@ def test_check_rho_range_clamps_dust_and_names_the_outlier():
     dust = np.array([1.0 - _RHO_RANGE_SLACK, 1.0, 1.5, 2.0, 2.0 + _RHO_RANGE_SLACK])
     assert _check_rho_range(dust).tolist() == [1.0, 1.0, 1.5, 2.0, 2.0]
     for bad, side in ((1.0 - 3 * _RHO_RANGE_SLACK, "below 1"), (2.0 + 3 * _RHO_RANGE_SLACK, "above 2")):
-        with pytest.raises(RuntimeError, match=re.escape(f"expansion factor {bad} {side}")):
+        with pytest.raises(InputError, match=re.escape(f"expansion factor {bad} {side}")):
             _check_rho_range(np.array([1.5, bad, 1.0]))
 
 
@@ -620,10 +635,10 @@ profile_records = st.lists(
     normalize_r=st.booleans(),
 )
 def test_to_distribution_matches_loop_reference(records, nr, nrho, normalize_r):
-    profile = CurvatureProfile(
-        records=tuple(ProfileRecord(r=r, rho_values=tuple(v), mean_rho=float(np.mean(v))) for r, v in records),
-        meta={},
-    )
+    profile = {
+        "meta": {},
+        "records": [{"r": r, "count": len(v), "mean_rho": float(np.mean(v)), "rho_values": v} for r, v in records],
+    }
     grid = GridSpec(nr=nr, nrho=nrho)
     obs, support, mass = oracles.to_distribution_loop(profile, grid, normalize_r)
     queried = []

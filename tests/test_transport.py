@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from curvprof import (
-    CurvatureProfile,
     EmptyResultError,
     Graph,
     GridSpec,
@@ -18,17 +17,16 @@ from curvprof import (
     transport,
     wasserstein1,
 )
-from curvprof.profile import ProfileRecord
 
 
 def make_profile(records, meta=None):
-    return CurvatureProfile(
-        records=tuple(
-            ProfileRecord(r=r, rho_values=tuple(v), mean_rho=float(np.mean(v)))
+    return {
+        "meta": meta or {},
+        "records": [
+            {"r": r, "count": len(v), "mean_rho": float(np.mean(v)), "rho_values": list(v)}
             for r, v in records
-        ),
-        meta=meta or {},
-    )
+        ],
+    }
 
 
 def random_distribution(rng, grid, max_support=20):
@@ -71,7 +69,7 @@ class TestToDistribution:
 
     def test_records_without_rho_values_rejected(self):
         # a stored profile may hold records with count 0
-        p = CurvatureProfile(records=(ProfileRecord(r=1.0, rho_values=(), mean_rho=1.0),), meta={})
+        p = {"meta": {}, "records": [{"r": 1.0, "count": 0, "mean_rho": 1.0, "rho_values": []}]}
         with pytest.raises(EmptyResultError):
             to_distribution(p)
 
