@@ -14,7 +14,7 @@ import os
 # matmul calls of MDS up to 100x dearer in CPU; a user's own setting wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .embed import EmbeddingResult, classical_mds, isomap
+from .embed import classical_mds, isomap
 from .generate import (
     circle_arc_metric,
     circle_sample,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import embed as embed_mod
 from . import generate as gen_mod
-from .graphs import adaptive_graph, epsilon_graph, knn_graph, load_input
+from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph, load_input
 from .metric import (
     EmptyResultError,
     InputError,
@@ -209,12 +209,11 @@ def cmd_rho(args):
             raise InputError(f"vertex {v} out of range (n={D.n})")
     if len({v1, v2, v3}) != 3:
         raise InputError("need three distinct vertices")
-    if not D.is_connected_triple(v1, v2, v3):
-        raise InputError("triple spans disconnected components")
+    # first: it refuses a triple across components or one that breaks the triangle inequality
+    rho, witness = rho_general(D, v1, v2, v3)
     d12, d13, d23 = D.d[v1, v2], D.d[v1, v3], D.d[v2, v3]
     r1, r2, r3 = gromov_products(d12, d13, d23)
     lam, degenerate, equilateral = lambda_measure(d12, d13, d23)
-    rho, witness = rho_general(D, v1, v2, v3)
     print(f"d({v1},{v2}) = {d12:g}   d({v1},{v3}) = {d13:g}   d({v2},{v3}) = {d23:g}")
     print(f"gromov products: r1 = {r1:g}, r2 = {r2:g}, r3 = {r3:g}")
     print(f"lambda = {lam:.6f}"
@@ -235,26 +234,30 @@ def cmd_embed(args):
     if args.method == "mds":
         if args.k is not None:
             raise InputError("--k is the Isomap neighbour count; --method mds reads none")
-        full = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
+        coords, evals = embed_mod.classical_mds(shortest_path_matrix(data) if kind == "graph" else data, dims[-1])
+        kept = None
     elif kind == "graph" and args.k is not None:
         raise InputError("--k applies to point clouds and metrics only; this input is an edge list")
     elif kind != "graph" and args.k is None:
         raise InputError("isomap on a point cloud or metric needs --k")
     else:
-        full = embed_mod.isomap(data, k=args.k or 0, d=dims[-1])
-    kept = full.kept_indices
+        coords, evals, kept = embed_mod.isomap(data, k=args.k or 0, d=dims[-1])
     report = {"config": cfg, "dimensions": {}, "kept_indices": None if kept is None else kept.tolist()}
+    # stress: the share of absolute spectral mass the first d axes do not carry
+    # (0 for an exactly d-realizable metric); n_clamped: negative eigenvalues among them
+    total_mass = float(np.abs(evals).sum())
     for d in dims:
-        res = embed_mod._leading(full, d)
+        carried = float(np.maximum(evals[:d], 0.0).sum())
+        stress = 0.0 if total_mass == 0 else max(0.0, (total_mass - carried) / total_mass)
         path = f"{out}.d{d}.csv"
-        np.savetxt(path, res.points.coords, delimiter=",")
+        np.savetxt(path, coords[:, :d], delimiter=",")
         report["dimensions"][str(d)] = {
             "file": path,
-            "stress": res.stress,
-            "n_clamped": res.n_clamped,
-            "top_eigenvalues": [float(x) for x in res.eigenvalues[: min(10, len(res.eigenvalues))]],
+            "stress": stress,
+            "n_clamped": int(np.sum(evals[:d] < 0)),
+            "top_eigenvalues": evals[:10].tolist(),
         }
-        print(f"d={d}: wrote {path} (stress {res.stress:.4f})")
+        print(f"d={d}: wrote {path} (stress {stress:.4f})")
     _write_json(f"{out}.embed.json", report)
     return EXIT_OK
 
@@ -329,10 +332,10 @@ def cmd_estimate_dim(args):
     else:
         if args.method == "mds":
             # re-embed the dataset's own metric, not the profile graph
-            full = embed_mod.classical_mds(D0 if kind == "graph" else data, dims[-1])
+            coords = embed_mod.classical_mds(D0 if kind == "graph" else data, dims[-1])[0]
         else:
-            full = embed_mod.isomap(data, k=embed_k, d=dims[-1])
-        clouds = {d: embed_mod._leading(full, d).points for d in dims}
+            coords = embed_mod.isomap(data, k=embed_k, d=dims[-1])[0]
+        clouds = {d: PointCloud(coords=coords[:, :d]) for d in dims}
 
     profiles = {}
     for d, cloud in clouds.items():

@@ -228,7 +228,9 @@ def rho_general(D, v1, v2, v3):
     full min-max of max_i d(x_i, x)/r_i; returns ``(rho, witness)``.
     Collinear triples (one product zero) are assigned rho = 1 with the
     middle point as witness. Unlike the equilateral case, values above 2
-    are possible in sparse graphs and are returned as-is.
+    are possible in sparse graphs and are returned as-is. Below 1 is not: on
+    a metric two of the three ratios at any x are at least 1, so a rho below
+    1 or a Gromov product below 0, beyond float dust, is an InputError.
     """
     if not D.is_connected_triple(v1, v2, v3):
         raise InputError("triple spans disconnected components")
@@ -236,7 +238,9 @@ def rho_general(D, v1, v2, v3):
     rvec = np.array(gromov_products(d12, d13, d23))
     scale = max(d12, d13, d23)
     if scale <= 0:
-        raise InputError("coincident triple: all distances zero")
+        raise InputError("degenerate triple: zero side length (coincident points)")
+    if rvec.min() < -_RHO_RANGE_SLACK * scale:
+        raise InputError(f"Gromov product {rvec.min()} below 0: the distances break the triangle inequality")
     verts = (v1, v2, v3)
     small = rvec <= 1e-12 * scale
     if small.any():
@@ -244,6 +248,8 @@ def rho_general(D, v1, v2, v3):
     rows = D.d[list(verts)]
     scores = (rows / rvec[:, None]).max(axis=0)
     w = int(np.argmin(scores))
+    if scores[w] < 1.0 - _RHO_RANGE_SLACK:
+        raise InputError(f"expansion factor {scores[w]} below 1: the distances break the triangle inequality")
     return float(scores[w]), w
 
 

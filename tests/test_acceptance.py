@@ -16,6 +16,7 @@ import oracles
 from curvprof import (
     Graph,
     GridSpec,
+    PointCloud,
     ProfileDistribution,
     adaptive_graph,
     build_profile,
@@ -193,8 +194,8 @@ def _dimension_run(n, seed):
     ambient = distance_matrix_from_array(squareform(pdist(Y.coords)))
     profiles = {}
     for d in range(1, 9):
-        emb = classical_mds(ambient, d)
-        Dd = shortest_path_matrix(knn_graph(emb.points, 10))
+        coords, _ = classical_mds(ambient, d)
+        Dd = shortest_path_matrix(knn_graph(PointCloud(coords=coords), 10))
         prof = build_profile(Dd, m=0.1, seed=seed, workers=2)
         if prof["records"]:
             register(prof)

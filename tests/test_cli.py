@@ -165,19 +165,26 @@ class TestRhoCommand:
         assert cli.main(["rho", str(inp), *triple.split()]) == 0
         assert capsys.readouterr() == (expected, "")
 
+    # nonmetric.csv: an equilateral triple of side 2 whose corners lie 0.5 from a fourth point
     @pytest.mark.parametrize(
-        "name, content, message",
+        "name, content, triple, message",
         [
-            ("two.edges", "0 1\n2 3\n", "triple spans disconnected components"),
-            ("zero-side.csv", "0,0,1\n0,0,1\n1,1,0\n", "degenerate triple: zero side length (coincident points)"),
-            ("all-zero.csv", "0,0,0\n0,0,0\n0,0,0\n", "degenerate triple: zero side length (coincident points)"),
+            ("two.edges", "0 1\n2 3\n", "0 1 2", "triple spans disconnected components"),
+            ("zero-side.csv", "0,0,1\n0,0,1\n1,1,0\n", "0 1 2",
+             "degenerate triple: zero side length (coincident points)"),
+            ("all-zero.csv", "0,0,0\n0,0,0\n0,0,0\n", "0 1 2",
+             "degenerate triple: zero side length (coincident points)"),
+            ("nonmetric.csv", "0,2,2,0.5\n2,0,2,0.5\n2,2,0,0.5\n0.5,0.5,0.5,0\n", "0 1 3",
+             "Gromov product -0.5 below 0: the distances break the triangle inequality"),
+            ("nonmetric.csv", "0,2,2,0.5\n2,0,2,0.5\n2,2,0,0.5\n0.5,0.5,0.5,0\n", "0 1 2",
+             "expansion factor 0.5 below 1: the distances break the triangle inequality"),
         ],
-        ids=["cross-component", "one-zero-side", "all-zero"],
+        ids=["cross-component", "one-zero-side", "all-zero", "negative-gromov-product", "rho-below-one"],
     )
-    def test_rejected_triple_text(self, tmp_path, capsys, name, content, message):
+    def test_rejected_triple_text(self, tmp_path, capsys, name, content, triple, message):
         inp = tmp_path / name
         inp.write_text(content)
-        assert cli.main(["rho", str(inp), "0", "1", "2"]) == 2
+        assert cli.main(["rho", str(inp), *triple.split()]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_distance_matrix_honours_graph_rule(self, tmp_path, capsys):
@@ -391,6 +398,40 @@ class TestEmbedCommand:
             return
         assert report["kept_indices"] == np.flatnonzero(order < blobs[0]).tolist()
         assert np.loadtxt(tmp_path / "two.d2.csv", delimiter=",").shape == (blobs[0], 2)
+
+    def test_stress_of_a_planar_cloud_is_zero(self, tmp_path):
+        rng = np.random.default_rng(0)
+        coords = rng.random((20, 2))
+        inp = tmp_path / "plane.csv"
+        np.savetxt(inp, np.linalg.norm(coords[:, None] - coords[None, :], axis=2), delimiter=",")
+        argv = ["embed", str(inp), "--format", "distmatrix", "--dims", "2", "--out", str(tmp_path / "e")]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "e.embed.json").read_text())["dimensions"]["2"]
+        assert report["stress"] <= 1e-8
+        assert report["n_clamped"] == 0
+
+    def test_star_tree_has_stress(self, tmp_path):
+        # the hop-count metric of a star with three leaves
+        inp = tmp_path / "star.csv"
+        inp.write_text("0,1,1,1\n1,0,2,2\n1,2,0,2\n1,2,2,0\n")
+        argv = ["embed", str(inp), "--format", "distmatrix", "--dims", "2", "--out", str(tmp_path / "e")]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / "e.embed.json").read_text())["dimensions"]["2"]["stress"] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["embed", "--method", "isomap", "--k", "4"], ["estimate-dim", "--method", "isomap", "-m", "0.5"]],
+        ids=["embed", "estimate-dim"],
+    )
+    def test_isomap_dimension_beyond_the_largest_component_exits_2(self, tmp_path, capsys, argv):
+        # 30 + 12 far-apart points: the kNN graph keeps 30, and d = 35 is below n = 42 only
+        rng = np.random.default_rng(4)
+        inp = tmp_path / "blobs.csv"
+        np.savetxt(inp, np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(12, 2)) + 100.0]), delimiter=",")
+        assert cli.main([argv[0], str(inp), *argv[1:], "--dims", "35", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr() == ("", "error: target dimension d=35 must be below 30, the point count of "
+                                           "the largest component of the disconnected graph on n=42 points\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv"]
 
     def test_isomap_notice_names_no_source_line(self, tmp_path):
         # two disjoint triangles; the notice is a log record, not a warning with the caller's path and line

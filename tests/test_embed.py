@@ -24,37 +24,34 @@ def euclidean_dm(coords):
 class TestClassicalMDS:
     def test_unit_equilateral_recovered(self):
         D = distance_matrix_from_array(1.0 - np.eye(3))
-        res = classical_mds(D, 2)
-        assert np.allclose(pdist(res.points.coords), 1.0, atol=1e-9)
+        coords, _ = classical_mds(D, 2)
+        assert np.allclose(pdist(coords), 1.0, atol=1e-9)
 
     def test_planar_cloud_recovered_exactly(self):
         rng = np.random.default_rng(0)
         coords = rng.random((20, 2))
-        res = classical_mds(euclidean_dm(coords), 2)
-        assert np.allclose(pdist(res.points.coords), pdist(coords), atol=1e-8)
-        assert res.stress <= 1e-8
-        assert res.n_clamped == 0
+        got, _ = classical_mds(euclidean_dm(coords), 2)
+        assert np.allclose(pdist(got), pdist(coords), atol=1e-8)
 
     def test_star_tree_not_flat(self):
         D = shortest_path_matrix(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
-        res = classical_mds(D, 2)
-        assert res.eigenvalues.min() < 0
-        assert res.stress > 0
+        _, eigenvalues = classical_mds(D, 2)
+        assert eigenvalues.min() < 0
 
     def test_eigenvalues_descending_and_sign_convention(self):
         rng = np.random.default_rng(1)
         coords = rng.random((15, 3))
-        res = classical_mds(euclidean_dm(coords), 3)
-        assert np.all(np.diff(res.eigenvalues) <= 1e-9)
+        got, eigenvalues = classical_mds(euclidean_dm(coords), 3)
+        assert np.all(np.diff(eigenvalues) <= 1e-9)
         for col in range(3):
-            pivot = np.argmax(np.abs(res.points.coords[:, col]))
-            assert res.points.coords[pivot, col] >= 0
+            pivot = np.argmax(np.abs(got[:, col]))
+            assert got[pivot, col] >= 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         D = euclidean_dm(rng.random((12, 4)))
-        a = classical_mds(D, 3).points.coords
-        b = classical_mds(D, 3).points.coords
+        a, _ = classical_mds(D, 3)
+        b, _ = classical_mds(D, 3)
         assert np.array_equal(a, b)
 
     def test_dimension_range_validated(self):
@@ -78,8 +75,8 @@ class TestIsomap:
     def test_arc_lengths_recovered(self):
         theta = np.linspace(0.0, 2.0, 60)
         coords = np.column_stack([np.cos(theta), np.sin(theta)])
-        res = isomap(PointCloud(coords=coords), k=2, d=1)
-        got = squareform(pdist(res.points.coords))
+        got, _, _ = isomap(PointCloud(coords=coords), k=2, d=1)
+        got = squareform(pdist(got))
         want = np.abs(theta[:, None] - theta[None, :])
         mask = want > 0
         rel = np.abs(got[mask] - want[mask]) / want[mask]
@@ -90,8 +87,8 @@ class TestIsomap:
         # geodesics degenerate to Manhattan distances
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
         coords = np.column_stack([xs.ravel(), ys.ravel()])
-        res = isomap(PointCloud(coords=coords), k=8, d=2)
-        got = pdist(res.points.coords)
+        got, _, _ = isomap(PointCloud(coords=coords), k=8, d=2)
+        got = pdist(got)
         want = pdist(coords)
         corr = np.corrcoef(got, want)[0, 1]
         assert corr >= 0.99
@@ -100,25 +97,25 @@ class TestIsomap:
         rng = np.random.default_rng(3)
         coords = rng.random((12, 3))
         cloud = PointCloud(coords=coords)
-        res_iso = isomap(cloud, k=11, d=3)
-        res_mds = classical_mds(euclidean_dm(coords), 3)
-        assert np.allclose(res_iso.eigenvalues, res_mds.eigenvalues, atol=1e-9)
+        _, evals_iso, _ = isomap(cloud, k=11, d=3)
+        _, evals_mds = classical_mds(euclidean_dm(coords), 3)
+        assert np.allclose(evals_iso, evals_mds, atol=1e-9)
 
     def test_accepts_prebuilt_graph(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        res = isomap(g, k=0, d=2)
-        assert res.points.n == 4
+        coords, _, _ = isomap(g, k=0, d=2)
+        assert coords.shape[0] == 4
 
     def test_disconnected_keeps_largest_component(self, caplog):
         coords = np.vstack(
             [np.random.default_rng(4).random((10, 2)), 100.0 + np.random.default_rng(5).random((4, 2))]
         )
         with caplog.at_level("WARNING", logger="curvprof.embed"):
-            res = isomap(PointCloud(coords=coords), k=2, d=2)
+            got, _, kept = isomap(PointCloud(coords=coords), k=2, d=2)
         assert "largest component (10 of 14 points)" in caplog.text
-        assert res.kept_indices is not None
-        assert len(res.kept_indices) == 10
-        assert res.points.n == 10
+        assert kept is not None
+        assert len(kept) == 10
+        assert got.shape[0] == 10
 
 
 class TestExternalEmbedding:

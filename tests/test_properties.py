@@ -41,6 +41,7 @@ from curvprof.profile import (
     _side_keys,
     cluster_sample_subset,
     find_equilateral_triples,
+    rho_general,
     rho_minmax,
 )
 
@@ -581,6 +582,15 @@ def test_profile_rho_lies_in_unit_interval(D, m, seed):
     assert D.connected
     for rec in build_profile(D, m=m, seed=seed)["records"]:
         assert all(1.0 <= x <= 2.0 for x in rec["rho_values"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=connected_metrics(), data=st.data())
+def test_rho_general_of_a_metric_is_at_least_one(D, data):
+    # unweighted, integer- and float-weighted graph metrics never break the triangle inequality
+    v1, v2, v3 = data.draw(st.permutations(range(D.n)))[:3]
+    rho, _ = rho_general(D, v1, v2, v3)
+    assert rho >= 1 - 1e-9
 
 
 @settings(max_examples=300, deadline=None)
