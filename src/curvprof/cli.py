@@ -2,8 +2,8 @@
 
 Every run resolves its full configuration (including the seed) and embeds
 it in all outputs, so any result file can be reproduced from its own
-metadata. Exit codes: 0 success, 2 input error, 3 empty result, 4 internal
-error.
+metadata. Exit codes: 0 success, 2 input error (a refused allocation
+included), 3 empty result, 4 internal error.
 """
 
 from __future__ import annotations
@@ -322,6 +322,9 @@ def cmd_estimate_dim(args):
     dims = _parse_dims(args.dims, D0.n)
     grid = _parse_grid(args.grid)
     embed_k = args.embed_k if args.embed_k is not None else (args.kmin or args.k or 10)
+    if not 1 <= embed_k < D0.n:
+        raise InputError(f"--embed-k (default --kmin, --k or 10) is {embed_k}; "
+                         f"it must satisfy 1 <= k < n={D0.n}")
 
     original = build_profile(D0, m=args.m, seed=args.seed, h=args.side_bin, workers=args.workers)
     if not original["records"]:
@@ -538,6 +541,9 @@ def main(argv=None):
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy refused an allocation the input asked for
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EmptyResultError as exc:
         print(f"empty result: {exc}", file=sys.stderr)

@@ -62,7 +62,6 @@ def isomap(data, k, d):
     if d >= kept.size:
         raise InputError(f"target dimension d={d} must be below {kept.size}, the point count of the "
                          f"largest component of the disconnected graph on n={g.n} points")
-    logger.warning(
-        "kNN graph is disconnected; embedding the largest component (%d of %d points)", kept.size, g.n
-    )
+    logger.warning("%s is disconnected; embedding the largest component (%d of %d points)",
+                   "graph" if data is g else "kNN graph", kept.size, g.n)
     return *classical_mds(distance_matrix_from_array(Dm.d[np.ix_(kept, kept)]), d), kept

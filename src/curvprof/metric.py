@@ -119,9 +119,6 @@ class DistanceMatrix:
     def n(self):
         return self.d.shape[0]
 
-    def is_connected_triple(self, v1, v2, v3):
-        return bool(np.isfinite(self.d[np.ix_([v1, v2, v3], [v1, v2, v3])]).all())
-
     def scaled(self, c):
         """Return a copy with every distance multiplied by c > 0 and its flags derived afresh."""
         if c <= 0:

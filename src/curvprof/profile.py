@@ -232,9 +232,9 @@ def rho_general(D, v1, v2, v3):
     a metric two of the three ratios at any x are at least 1, so a rho below
     1 or a Gromov product below 0, beyond float dust, is an InputError.
     """
-    if not D.is_connected_triple(v1, v2, v3):
-        raise InputError("triple spans disconnected components")
     d12, d13, d23 = float(D.d[v1, v2]), float(D.d[v1, v3]), float(D.d[v2, v3])
+    if not np.isfinite(d12 + d13 + d23):
+        raise InputError("triple spans disconnected components")
     rvec = np.array(gromov_products(d12, d13, d23))
     scale = max(d12, d13, d23)
     if scale <= 0:

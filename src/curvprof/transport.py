@@ -10,7 +10,6 @@ linear program on the occupied nodes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,29 +125,14 @@ def _solve_transport_lp(p, q, M):
     return res.x.reshape(a, b), float(res.fun)
 
 
-# estimate-dim's repeats come from consecutive candidate dimensions (d = 3..8
-# snap to one distribution), so a few entries catch them; the bound caps what
-# the cached keys and flows hold on large supports
-@functools.lru_cache(maxsize=16)
-def _transport(key_a, key_b):
-    """Exact transport between two ``_dist_key`` keys: (cost, nonzero flows (i, j, amount))."""
-    (support_a, mass_a), (support_b, mass_b) = key_a, key_b
-    p, q = np.frombuffer(mass_a), np.frombuffer(mass_b)
-    M = cdist(np.frombuffer(support_a).reshape(len(p), -1), np.frombuffer(support_b).reshape(len(q), -1))
-    plan, cost = _solve_transport_lp(p, q, M)
-    flows = tuple((int(i), int(j), float(plan[i, j])) for i, j in np.argwhere(plan > 1e-15))
-    return cost, flows
-
-
 def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=False):
     """Exact W1 between two distributions on the same grid.
 
-    Euclidean ground metric on the (r_norm, rho) coordinates. The pair is
-    put into a canonical order before solving, so the result is exactly
-    symmetric and a pair seen recently, in either order, is not solved
-    again; identical inputs short-circuit to zero. With ``return_plan`` the
-    result is ``(cost, flows)``: the nonzero flows as (index in P, index in
-    Q, amount) tuples.
+    Euclidean ground metric on the (r_norm, rho) coordinates. The side with
+    the smaller ``_dist_key`` is the LP's source, so the result is exactly
+    symmetric; identical inputs short-circuit to zero. With ``return_plan``
+    the result is ``(cost, flows)``: the nonzero flows as (index in P,
+    index in Q, amount) tuples.
     """
     if P.grid != Q.grid:
         raise InputError("distributions live on different grids")
@@ -158,12 +142,15 @@ def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=Fal
             return 0.0, tuple((i, i, float(m)) for i, m in enumerate(P.mass))
         return 0.0
     swapped = key_q < key_p
-    cost, flows = _transport(key_q, key_p) if swapped else _transport(key_p, key_q)
+    src, dst = (Q, P) if swapped else (P, Q)
+    plan, cost = _solve_transport_lp(src.mass, dst.mass, cdist(src.support, dst.support))
     if not return_plan:
         return cost
+    i, j = np.nonzero(plan > 1e-15)
+    amounts = plan[i, j]
     if swapped:
-        flows = tuple((j, i, amount) for i, j, amount in flows)
-    return cost, flows
+        i, j = j, i
+    return cost, tuple(zip(i.tolist(), j.tolist(), amounts.tolist()))
 
 
 def estimate_dimension(original, embedded, grid=None, on_empty="error"):
@@ -187,7 +174,8 @@ def estimate_dimension(original, embedded, grid=None, on_empty="error"):
         P0 = to_distribution(original, grid)
     except EmptyResultError as exc:
         raise EmptyResultError(f"original profile is empty: {exc}") from exc
-    curve = []
+    # consecutive candidates often snap to one distribution: each distinct one is solved once
+    curve, scored = [], {}
     for d in sorted(embedded):
         try:
             Pd = to_distribution(embedded[d], grid)
@@ -196,7 +184,10 @@ def estimate_dimension(original, embedded, grid=None, on_empty="error"):
                 curve.append((int(d), float("inf")))
                 continue
             raise EmptyResultError(f"profile for dimension {d} is empty") from exc
-        curve.append((int(d), float(wasserstein1(P0, Pd))))
+        key = _dist_key(Pd)
+        if key not in scored:
+            scored[key] = float(wasserstein1(P0, Pd))
+        curve.append((int(d), scored[key]))
     if all(np.isinf(w) for _, w in curve):
         raise EmptyResultError("every candidate profile is empty")
     d_best = min(curve, key=lambda t: (t[1], t[0]))[0]

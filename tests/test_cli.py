@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,13 @@ from curvprof.generate import plane_sample
 
 def write_cycle(path, n=6):
     path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+
+
+def run_cli_process(cwd, *args, **kwargs):
+    """``curvprof`` run as a fresh process on this checkout's package, so stderr shows what a user sees."""
+    env = {**os.environ, "PYTHONPATH": str(Path(curvprof.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "curvprof.cli", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120, **kwargs)
 
 
 def write_tree(path, depth=4):
@@ -436,9 +444,15 @@ class TestEmbedCommand:
     def test_isomap_notice_names_no_source_line(self, tmp_path):
         # two disjoint triangles; the notice is a log record, not a warning with the caller's path and line
         (tmp_path / "two.edges").write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
-        argv = [sys.executable, "-m", "curvprof.cli", "embed", "two.edges", "--method", "isomap", "--dims", "1"]
-        env = {**os.environ, "PYTHONPATH": str(Path(curvprof.__file__).resolve().parents[1])}
-        proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        proc = run_cli_process(tmp_path, "embed", "two.edges", "--method", "isomap", "--dims", "1")
+        assert proc.returncode == 0
+        assert proc.stderr == "graph is disconnected; embedding the largest component (3 of 6 points)\n"
+
+    def test_isomap_notice_on_a_point_cloud_names_the_knn_graph(self, tmp_path):
+        # two far-apart triangles of points: the 2-NN graph built from them has two components
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        np.savetxt(tmp_path / "two.csv", np.vstack([tri, tri + 100.0]), delimiter=",")
+        proc = run_cli_process(tmp_path, "embed", "two.csv", "--method", "isomap", "--k", "2", "--dims", "1")
         assert proc.returncode == 0
         assert proc.stderr == "kNN graph is disconnected; embedding the largest component (3 of 6 points)\n"
 
@@ -688,7 +702,6 @@ class TestComputedOnce:
     def test_estimate_dim_solves_one_lp_per_distinct_pair(self, tmp_path, monkeypatch):
         inp = tmp_path / "pts.csv"
         np.savetxt(inp, np.random.default_rng(4).standard_normal((60, 3)), delimiter=",")
-        transport._transport.cache_clear()
         pairs, solves = [], []
         real_w1, real_lp = transport.wasserstein1, transport._solve_transport_lp
 
@@ -701,10 +714,10 @@ class TestComputedOnce:
         rc = cli.main(["estimate-dim", str(inp), "--dims", "1-8", "--kmin", "5", "--kmax", "8",
                        "-m", "0.2", "--out", str(tmp_path / "est")])
         assert rc == 0
-        # every candidate is still scored; only distinct unequal pairs reach the LP
-        assert len(pairs) == 7
-        distinct = {pair for pair in pairs if len(pair) == 2}
-        assert len(solves) == len(distinct) < len(pairs)
+        # every candidate is still scored; each distinct pair is asked for once, and only unequal ones reach the LP
+        assert len((tmp_path / "est.dimcurve.csv").read_text().splitlines()) == 2 + 8
+        assert len(pairs) == len(set(pairs))
+        assert len(solves) == len({pair for pair in pairs if len(pair) == 2})
 
 
 class TestPrecomputedMetric:
@@ -825,6 +838,29 @@ class TestMalformedOptions:
         rc = cli.main(["estimate-dim", str(inp), "--method", "mds", "--dims", "2", "-m", "1.0",
                        "--embed-k", "3", "--grid", grid, "--out", str(tmp_path / "e")])
         assert rc == 2
+
+    @pytest.mark.parametrize("embed_k", ["0", "40"])
+    def test_embed_k_outside_the_point_count_exits_2_first(self, tmp_path, capsys, monkeypatch, embed_k):
+        inp = tmp_path / "pts.csv"
+        np.savetxt(inp, plane_sample(40, seed=2).coords, delimiter=",")
+        built = []
+        monkeypatch.setattr(cli, "build_profile", lambda *a, **kw: built.append(1))
+        rc = cli.main(["estimate-dim", str(inp), "--embed-k", embed_k, "--dims", "1-2",
+                       "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: --embed-k (default --kmin, --k or 10) is {embed_k}; "
+                                           "it must satisfy 1 <= k < n=40\n")
+        assert built == []
+
+    def test_refused_allocation_exits_2(self, tmp_path):
+        # a 100000x100000 grid asks numpy for 74.5 GiB; the address-space cap makes sure it is refused
+        write_cycle(tmp_path / "c6.edges")
+        assert cli.main(["profile", str(tmp_path / "c6.edges"), "-m", "1.0", "--out", str(tmp_path / "c6")]) == 0
+        proc = run_cli_process(tmp_path, "compare", "c6.profile.json", "c6.profile.json", "--grid", "100000x100000",
+                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: not enough memory: Unable to allocate 74.5 GiB")
 
     @pytest.mark.parametrize("side_bin", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize("weighted", [False, True])

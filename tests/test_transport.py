@@ -168,21 +168,17 @@ class TestWasserstein:
         moved = sum(amt * np.linalg.norm(P.support[i] - Q.support[j]) for i, j, amt in flows)
         assert cost == pytest.approx(moved, abs=1e-12)
 
-    def test_cached_solve_matches_cold_solve_in_either_order(self):
+    def test_repeated_solves_match_in_either_order(self):
         grid = GridSpec()
         rng = np.random.default_rng(7)
         P = random_distribution(rng, grid)
         Q = random_distribution(rng, grid)
-        transport._transport.cache_clear()
-        cold_qp = wasserstein1(Q, P, return_plan=True)
-        transport._transport.cache_clear()
-        cold_pq = wasserstein1(P, Q, return_plan=True)
-        for a, b, cold in ((P, Q, cold_pq), (Q, P, cold_qp)) * 2:
-            assert wasserstein1(a, b, return_plan=True) == cold
-            assert wasserstein1(a, b) == cold[0]
-        info = transport._transport.cache_info()
-        assert (info.misses, info.hits) == (1, 8)
-        assert cold_qp[1] == tuple((j, i, amount) for i, j, amount in cold_pq[1])
+        first_qp = wasserstein1(Q, P, return_plan=True)
+        first_pq = wasserstein1(P, Q, return_plan=True)
+        for a, b, first in ((P, Q, first_pq), (Q, P, first_qp)) * 2:
+            assert wasserstein1(a, b, return_plan=True) == first
+            assert wasserstein1(a, b) == first[0]
+        assert first_qp[1] == tuple((j, i, amount) for i, j, amount in first_pq[1])
 
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(6)
@@ -236,3 +232,18 @@ class TestEstimateDimension:
         d_best, curve = estimate_dimension(p, {2: make_profile([]), 3: p}, on_empty="inf")
         assert d_best == 3
         assert curve[0] == (2, float("inf"))
+
+    def test_each_distinct_candidate_distribution_is_solved_once(self, monkeypatch):
+        original = make_profile([(1.0, [1.0]), (2.0, [1.3, 1.7]), (3.0, [2.0])])
+        a = make_profile([(1.0, [2.0])])
+        # three profiles, none equal to another, that all snap to one distribution
+        b = [make_profile([(1.0, [1.6, 2.0])]), make_profile([(1.0, [1.601, 2.0])]),
+             make_profile([(2.0, [1.6, 2.0])])]
+        embedded = {2: a, 3: b[0], 4: b[1], 5: b[2]}
+        solves = []
+        real_lp = transport._solve_transport_lp
+        monkeypatch.setattr(transport, "_solve_transport_lp", lambda *args: solves.append(1) or real_lp(*args))
+        _, curve = estimate_dimension(original, embedded)
+        assert len(solves) == 2
+        P0 = to_distribution(original)
+        assert curve == [(d, wasserstein1(P0, to_distribution(embedded[d]))) for d in (2, 3, 4, 5)]
