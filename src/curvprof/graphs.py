@@ -29,12 +29,12 @@ EDGE_EXTENSIONS = {".edges", ".edgelist", ".txt", ".tsv"}
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n points in an ambient Euclidean space, one row per point."""
+    """n points in an ambient Euclidean space, one row per point, kept as a read-only copy."""
 
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
+        c = np.array(self.coords, dtype=np.float64)
         if c.ndim != 2:
             raise InputError(f"point cloud must be 2-D, got shape {c.shape}")
         if c.shape[0] < 2:

@@ -34,7 +34,7 @@ class EmptyResultError(RuntimeError):
 class Graph:
     """Weighted undirected graph as canonical edge arrays.
 
-    ``i``, ``j``, ``w`` are read-only arrays with i < j, sorted by (i, j),
+    ``i``, ``j``, ``w`` are read-only copies with i < j, sorted by (i, j),
     and w >= 0; zero weights are allowed because neighborhood graphs over
     point clouds may contain coincident points.
     """
@@ -46,7 +46,7 @@ class Graph:
 
     def __post_init__(self):
         for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -105,6 +105,9 @@ class DistanceMatrix:
     largest finite distance. ``integer_valued`` marks exact metrics (graph
     hop counts or integer weights) where side-length equality is exact
     rather than binned.
+
+    ``d`` is taken over, not copied: it becomes read-only in the caller's
+    hands too, since a copy would double the peak memory of an n x n matrix.
     """
 
     d: np.ndarray

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -218,7 +219,8 @@ def rho_minmax(D, triples):
     mx = D.d[a]
     np.maximum(mx, D.d[b], out=mx)
     np.maximum(mx, D.d[c], out=mx)
-    return _check_rho_range(mx.min(axis=1) / r), mx.argmin(axis=1)
+    witness = mx.argmin(axis=1)
+    return _check_rho_range(mx[np.arange(witness.size), witness] / r), witness
 
 
 def rho_general(D, v1, v2, v3):
@@ -342,34 +344,41 @@ def build_profile(
 # -- serialization ----------------------------------------------------------
 
 
+def _number(x, name, kind=numbers.Real):
+    """``x`` if it is a ``kind`` other than a bool: JSON's ``true`` is not 1, and ``"1.0"`` is text."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise TypeError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a number'}, got {x!r}")
+    return x
+
+
 def profile_from_dict(data) -> dict:
     """Check a stored profile and return it in the form :func:`build_profile` gives.
 
     A record's ``r`` must be finite and positive, its ``rho_values`` a list
-    of finite values in [1, 2], and its ``count`` their number.
+    of finite values in [1, 2], and its ``count`` their number; ``r``,
+    ``mean_rho`` and the rho values are numbers and ``count`` an integer.
     """
+    records = []
     try:
-        if not all(isinstance(rec["rho_values"], list) for rec in data["records"]):
-            raise TypeError("rho_values must be a list")
-        records = [
-            {"r": float(rec["r"]), "rho_values": [float(x) for x in rec["rho_values"]],
-             "mean_rho": float(rec["mean_rho"])}
-            for rec in data["records"]
-        ]
-        counts = [int(rec["count"]) for rec in data["records"]]
+        for rec in data["records"]:
+            if not isinstance(rec["rho_values"], list):
+                raise TypeError("rho_values must be a list")
+            r, count = float(_number(rec["r"], "r")), int(_number(rec["count"], "count", numbers.Integral))
+            rhos = [float(_number(x, "rho value")) for x in rec["rho_values"]]
+            mean_rho = float(_number(rec["mean_rho"], "mean_rho"))
+            if count != len(rhos):
+                raise InputError(f"record r={r!r}: count {count} != {len(rhos)} rho values")
+            if not (math.isfinite(r) and r > 0):
+                raise InputError(f"record r={r!r}: r must be finite and > 0")
+            bad = [x for x in rhos if not 1.0 <= x <= 2.0]
+            if bad:
+                raise InputError(f"record r={r!r}: rho value {bad[0]!r} is not a finite value in [1, 2]")
+            records.append({"r": r, "count": count, "mean_rho": mean_rho, "rho_values": rhos})
         meta = dict(data["meta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed profile payload: {exc}") from exc
-    for count, rec in zip(counts, records):
-        r, rhos = rec["r"], rec["rho_values"]
-        if count != len(rhos):
-            raise InputError(f"record r={r!r}: count {count} != {len(rhos)} rho values")
-        if not (math.isfinite(r) and r > 0):
-            raise InputError(f"record r={r!r}: r must be finite and > 0")
-        bad = [x for x in rhos if not 1.0 <= x <= 2.0]
-        if bad:
-            raise InputError(f"record r={r!r}: rho value {bad[0]!r} is not a finite value in [1, 2]")
-        rec["count"] = count
     return {"meta": meta, "records": records}
 
 
@@ -393,17 +402,17 @@ def _write_json(path, obj):
 
 def _write_csv(path, header_comment, columns, lines):
     with open(path, "w") as fh:
-        fh.write(f"# {header_comment}\n{columns}\n" if header_comment else f"{columns}\n")
+        fh.write(f"# {header_comment}\n{columns}\n")
         fh.writelines(lines)
 
 
-def write_long_csv(p, path, header_comment=None):
+def write_long_csv(p, path, header_comment):
     """One row per triangle: columns r,rho."""
     rows = (f"{rec['r']!r},{rho!r}\n" for rec in p["records"] for rho in rec["rho_values"])
     _write_csv(path, header_comment, "r,rho", rows)
 
 
-def write_summary_csv(p, path, header_comment=None):
+def write_summary_csv(p, path, header_comment):
     """One row per scale: columns r,count,mean_rho."""
     rows = (f"{rec['r']!r},{rec['count']},{rec['mean_rho']!r}\n" for rec in p["records"])
     _write_csv(path, header_comment, "r,count,mean_rho", rows)

@@ -55,23 +55,25 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ProfileDistribution:
-    """Discrete measure on occupied grid nodes; masses sum to one."""
+    """Discrete measure on k occupied grid nodes, kept as read-only float64 copies; masses sum to one."""
 
     support: np.ndarray
     mass: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        if self.support.shape[0] != self.mass.shape[0]:
-            raise InputError("support and mass lengths differ")
+        for name in ("support", "mass"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.support.shape[1:] != (2,) or self.mass.shape != self.support.shape[:1]:
+            raise InputError(f"need k x 2 (r, rho) nodes and k masses, got {self.support.shape} and {self.mass.shape}")
         if self.support.shape[0] == 0:
             raise EmptyResultError("empty distribution")
         if np.any(self.mass < 0):
             raise InputError("negative mass")
         if abs(float(self.mass.sum()) - 1.0) > MASS_SUM_TOL:
             raise InputError(f"masses sum to {self.mass.sum()}, not 1")
-        self.support.setflags(write=False)
-        self.mass.setflags(write=False)
 
 
 def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution:
@@ -87,7 +89,7 @@ def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution
     grid = grid or GridSpec()
     r = np.array([rec["r"] for rec in records])
     if normalize_r:
-        r /= max(rec["r"] for rec in records)
+        r /= r.max()
     obs = np.column_stack((
         np.repeat(r, [len(rec["rho_values"]) for rec in records]),
         np.concatenate([rec["rho_values"] for rec in records]),
@@ -95,15 +97,11 @@ def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution
     nodes = grid.nodes()
     _, node_idx = cKDTree(nodes).query(obs)
     occupied, counts = np.unique(node_idx, return_counts=True)
-    mass = counts / counts.sum()
-    return ProfileDistribution(support=nodes[occupied], mass=mass.astype(np.float64), grid=grid)
+    return ProfileDistribution(support=nodes[occupied], mass=counts / counts.sum(), grid=grid)
 
 
 def _dist_key(dist):
-    return (
-        np.asarray(dist.support, dtype=np.float64).tobytes(),
-        np.asarray(dist.mass, dtype=np.float64).tobytes(),
-    )
+    return dist.support.tobytes(), dist.mass.tobytes()
 
 
 def _solve_transport_lp(p, q, M):
@@ -169,7 +167,6 @@ def estimate_dimension(original, embedded, grid=None, on_empty="error"):
         raise InputError("no candidate dimensions supplied")
     if on_empty not in ("error", "inf"):
         raise InputError("on_empty must be 'error' or 'inf'")
-    grid = grid or GridSpec()
     try:
         P0 = to_distribution(original, grid)
     except EmptyResultError as exc:

@@ -326,8 +326,15 @@ class TestCompareCommand:
             (lambda recs: recs[0]["rho_values"].__setitem__(0, float("nan")), "not a finite value in [1, 2]"),
             (lambda recs: recs[0]["rho_values"].__setitem__(0, 7.0), "not a finite value in [1, 2]"),
             (lambda recs: recs[0].update(rho_values="12", count=2), "rho_values must be a list"),
+            (lambda recs: recs[0].update(count=2.5), "malformed profile payload: count must be an integer"),
+            (lambda recs: recs[0].update(count=True), "malformed profile payload: count must be an integer"),
+            (lambda recs: recs[0].update(r="1.0"), "malformed profile payload: r must be a number"),
+            (lambda recs: recs[0].update(r=True), "malformed profile payload: r must be a number"),
         ],
-        ids=["nan-r", "inf-r", "negative-r", "all-r-zero", "nan-rho", "rho-7", "rho-values-string"],
+        ids=[
+            "nan-r", "inf-r", "negative-r", "all-r-zero", "nan-rho", "rho-7", "rho-values-string",
+            "count-2.5", "count-true", "r-string", "r-true",
+        ],
     )
     def test_bad_stored_values_exit_2(self, tmp_path, capsys, edit, message):
         inp = tmp_path / "tree.edges"

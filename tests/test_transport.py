@@ -9,6 +9,7 @@ from curvprof import (
     Graph,
     GridSpec,
     InputError,
+    PointCloud,
     ProfileDistribution,
     build_profile,
     estimate_dimension,
@@ -81,6 +82,45 @@ class TestToDistribution:
         dist = to_distribution(p)
         assert abs(dist.mass.sum() - 1.0) <= 1e-12
         assert len({tuple(x) for x in dist.support}) == len(dist.support)
+
+
+@pytest.mark.parametrize(
+    "support, mass",
+    [
+        (np.array([0.0, 0.5]), np.array([0.5, 0.5])),
+        (np.array([[0.0, 1.0, 0.0], [0.5, 1.0, 0.0]]), np.array([0.5, 0.5])),
+        (np.array([[0.0, 1.0], [0.5, 1.0]]), np.array([0.5, 0.25, 0.25])),
+    ],
+    ids=["support-k", "support-k-by-3", "mass-length-differs"],
+)
+def test_distribution_of_other_shapes_refused(support, mass):
+    with pytest.raises(InputError, match="k x 2"):
+        ProfileDistribution(support=support, mass=mass, grid=GridSpec())
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda a: PointCloud(coords=a["coords"]), ["coords"]),
+        (lambda a: Graph(n=3, i=a["i"], j=a["j"], w=a["w"]), ["i", "j", "w"]),
+        (lambda a: ProfileDistribution(support=a["support"], mass=a["mass"], grid=GridSpec()),
+         ["support", "mass"]),
+    ],
+    ids=["PointCloud", "Graph", "ProfileDistribution"],
+)
+def test_value_types_store_read_only_copies(build, names):
+    arrays = {
+        "coords": np.array([[0.0, 0.0], [1.0, 0.0]]),
+        "i": np.array([0, 1]), "j": np.array([1, 2]), "w": np.array([1.0, 2.0]),
+        "support": np.array([[0.0, 1.0], [0.5, 2.0]]), "mass": np.array([0.5, 0.5]),
+    }
+    value = build(arrays)
+    for name in names:
+        assert arrays[name].flags.writeable
+        stored = getattr(value, name)
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, arrays[name])
+        np.testing.assert_array_equal(stored, arrays[name])
 
 
 class TestWasserstein:
