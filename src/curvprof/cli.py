@@ -22,7 +22,9 @@ from . import embed as embed_mod
 from . import generate as gen_mod
 from .graphs import PointCloud, adaptive_graph, epsilon_graph, knn_graph, load_input
 from .metric import (
+    DistanceMatrix,
     EmptyResultError,
+    Graph,
     InputError,
     gromov_products,
     lambda_measure,
@@ -359,63 +361,45 @@ def cmd_estimate_dim(args):
     return EXIT_OK
 
 
-# the options each kind reads, with their defaults; --seed and --out apply to every kind
-_KIND_OPTIONS = {
-    "er": {"n": 1000, "avg_degree": 4.0},
-    "ws": {"n": 1000, "k": 4, "beta": 0.1},
-    "circle": {"n": 1000, "radius": 1.0},
-    "plane": {"n": 1000},
-    "tree": {"branching": 2, "depth": 8},
-    "dla": {"branches": 10, "length": 300, "subdim": 1, "length_jitter": 0.0, "noise": 0.0},
-    "gaussian": {"n": 1000, "dim": 3, "extra_dims": 50},
+# each kind's generator in curvprof.generate and the defaults of the options it reads, keyed
+# by the generator's parameters; --out applies to every kind, --seed to those that list it
+_KINDS = {
+    "er": ("erdos_renyi", {"n": 1000, "avg_degree": 4.0, "seed": 0}),
+    "ws": ("watts_strogatz", {"n": 1000, "k": 4, "beta": 0.1, "seed": 0}),
+    "circle": ("circle_sample", {"n": 1000, "radius": 1.0, "seed": 0}),
+    "plane": ("plane_sample", {"n": 1000, "seed": 0}),
+    "tree": ("tree_graph", {"branching": 2, "depth": 8}),
+    "dla": ("dla_tree", {"branches": 10, "length": 300, "subdim": 1, "length_jitter": 0.0, "noise": 0.0, "seed": 0}),
+    "gaussian": ("gaussian_isometric", {"n": 1000, "dim": 3, "extra_dims": 50, "seed": 0}),
 }
 
 
 def cmd_generate(args):
-    seed, out, kind = args.seed, Path(args.out), args.kind
-    p = dict(_KIND_OPTIONS[kind])
-    for name, value in vars(args).items():
-        if value is None or name in ("command", "func", "kind", "out", "seed"):
-            continue
-        if name not in p:
-            raise InputError(f"--{name.replace('_', '-')} does not apply to --kind {kind}")
-        p[name] = value
-    if kind == "er":
-        g = gen_mod.erdos_renyi(p["n"], p["avg_degree"], seed=seed)
-        _write_edge_list(g, out, {"kind": kind, **p, "seed": seed})
-    elif kind == "ws":
-        g = gen_mod.watts_strogatz(p["n"], p["k"], p["beta"], seed=seed)
-        _write_edge_list(g, out, {"kind": kind, **p, "seed": seed})
-    elif kind == "tree":
-        g = gen_mod.tree_graph(p["branching"], p["depth"])
-        _write_edge_list(g, out, {"kind": kind, **p})
-    elif kind == "circle":
-        D = gen_mod.circle_sample(p["n"], seed=seed, radius=p["radius"])
-        np.savetxt(out, D.d, delimiter=",")
-    elif kind == "plane":
-        cloud = gen_mod.plane_sample(p["n"], seed=seed)
-        np.savetxt(out, cloud.coords, delimiter=",")
-    elif kind == "dla":
-        cloud = gen_mod.dla_tree(p["branches"], p["length"], p["subdim"], seed=seed,
-                                 length_jitter=p["length_jitter"], noise=p["noise"])
-        np.savetxt(out, cloud.coords, delimiter=",")
-    else:  # gaussian, the last of the kinds argparse allows
-        low, high = gen_mod.gaussian_isometric(p["n"], p["dim"], seed=seed, extra_dims=p["extra_dims"])
-        np.savetxt(f"{out}.low.csv", low.coords, delimiter=",")
-        np.savetxt(f"{out}.high.csv", high.coords, delimiter=",")
-        out = f"{out}.low.csv and {out}.high.csv"
-    print(f"wrote {out}")
+    name, defaults = _KINDS[args.kind]
+    given = {opt: value for opt, value in vars(args).items() if value is not None}
+    for opt in given:
+        if opt not in (*defaults, "command", "func", "kind", "out", "seed"):
+            raise InputError(f"--{opt.replace('_', '-')} does not apply to --kind {args.kind}")
+    params = {opt: given.get(opt, value) for opt, value in defaults.items()}
+    # looked up when called, so a wrapper put on the module after import is the one that runs
+    made = getattr(gen_mod, name)(**params)
+    print(f"wrote {_write_generated(made, Path(args.out), {'kind': args.kind, **params})}")
     return EXIT_OK
 
 
-def _write_edge_list(g, path, generated):
-    with open(path, "w") as fh:
-        fh.write(f"# generated: {json.dumps(generated, sort_keys=True)}\n")
-        for i, j, w in g.edges:
-            if w == 1.0:
-                fh.write(f"{i} {j}\n")
-            else:
-                fh.write(f"{i} {j} {w!r}\n")
+def _write_generated(made, out, generated):
+    """Write a generator's result by its type (a Graph's edges all weigh 1); returns what stdout names."""
+    if isinstance(made, Graph):
+        with open(out, "w") as fh:
+            fh.write(f"# generated: {json.dumps(generated, sort_keys=True)}\n")
+            fh.writelines(f"{i} {j}\n" for i, j in zip(made.i.tolist(), made.j.tolist()))
+        return out
+    if isinstance(made, tuple):
+        for part, cloud in zip(("low", "high"), made):
+            np.savetxt(f"{out}.{part}.csv", cloud.coords, delimiter=",")
+        return f"{out}.low.csv and {out}.high.csv"
+    np.savetxt(out, made.d if isinstance(made, DistanceMatrix) else made.coords, delimiter=",")
+    return out
 
 
 # -- argument parsing --------------------------------------------------------
@@ -507,10 +491,10 @@ def build_parser():
     p.set_defaults(func=cmd_estimate_dim)
 
     p = sub.add_parser("generate", help="seeded synthetic datasets")
-    p.add_argument("--kind", required=True, choices=tuple(_KIND_OPTIONS))
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=_env_default("CURVPROF_SEED", 0))
-    # no defaults here: cmd_generate takes them from _KIND_OPTIONS, so an option of another kind shows
+    # no defaults here: cmd_generate takes them from _KINDS, so an option of another kind shows
     p.add_argument("--n", type=int, help="node/point count (er, ws, circle, plane, gaussian)")
     p.add_argument("--avg-degree", type=float, help="er: expected degree")
     p.add_argument("--k", type=int, help="ws: lattice neighbors (even)")

@@ -105,45 +105,45 @@ def tree_graph(branching, depth) -> Graph:
     return Graph.from_edges(v.size + 1, np.column_stack(((v - 1) // branching, v)))
 
 
-def dla_tree(k_branches, l_nodes, m_subdim, seed=0, length_jitter=0.0, noise=0.0) -> PointCloud:
-    """Synthetic tree in R^(k*m) whose branches grow in disjoint coordinate blocks.
+def dla_tree(branches, length, subdim, seed=0, length_jitter=0.0, noise=0.0) -> PointCloud:
+    """Synthetic tree in R^(branches*subdim) whose branches grow in disjoint coordinate blocks.
 
     Branch 1 starts at the origin and advances one unit per node in its own
-    m coordinates; every later branch starts at the endpoint of its parent
-    (branches 2 and 3 hang off branch 1, later ones off a uniformly chosen
-    earlier branch) and advances in its own block. ``length_jitter``
+    subdim coordinates; every later branch starts at the endpoint of its
+    parent (branches 2 and 3 hang off branch 1, later ones off a uniformly
+    chosen earlier branch) and advances in its own block. ``length_jitter``
     perturbs branch lengths by a uniform relative factor; ``noise`` adds
     isotropic Gaussian jitter to all coordinates. Both default to off, which
     keeps the construction deterministic in shape with exactly
-    k_branches * l_nodes points.
+    branches * length points.
     """
-    if k_branches < 2:
-        raise InputError("need k_branches >= 2")
-    if l_nodes < 2:
-        raise InputError("need l_nodes >= 2")
-    if m_subdim < 1:
-        raise InputError("need m_subdim >= 1")
+    if branches < 2:
+        raise InputError("need branches >= 2")
+    if length < 2:
+        raise InputError("need length >= 2")
+    if subdim < 1:
+        raise InputError("need subdim >= 1")
     if not (0 <= length_jitter < 1):
         raise InputError("length_jitter must lie in [0, 1)")
     if not (0 <= noise < math.inf):
         raise InputError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
-    dim = k_branches * m_subdim
+    dim = branches * subdim
     rows = []
     endpoints = []
-    for j in range(k_branches):
+    for j in range(branches):
         if j == 0:
             base = np.zeros(dim)
         elif j <= 2:
             base = endpoints[0]
         else:
             base = endpoints[int(rng.integers(0, j))]
-        length = l_nodes
+        nodes = length
         if length_jitter > 0:
-            length = max(2, int(round(l_nodes * (1 + rng.uniform(-length_jitter, length_jitter)))))
-        block = slice(j * m_subdim, (j + 1) * m_subdim)
-        pts = np.tile(base, (length, 1))
-        pts[:, block] += np.arange(length)[:, None]
+            nodes = max(2, int(round(length * (1 + rng.uniform(-length_jitter, length_jitter)))))
+        block = slice(j * subdim, (j + 1) * subdim)
+        pts = np.tile(base, (nodes, 1))
+        pts[:, block] += np.arange(nodes)[:, None]
         rows.append(pts)
         endpoints.append(pts[-1])
     coords = np.vstack(rows)
@@ -152,20 +152,20 @@ def dla_tree(k_branches, l_nodes, m_subdim, seed=0, length_jitter=0.0, noise=0.0
     return PointCloud(coords=coords)
 
 
-def gaussian_isometric(N, n, seed=0, extra_dims=50):
-    """Standard-normal cloud in R^n and its isometric copy in R^(n+extra).
+def gaussian_isometric(n, dim, seed=0, extra_dims=50):
+    """n standard-normal points in R^dim and their isometric copy in R^(dim+extra_dims).
 
     The lift is X Q^T for Q with orthonormal columns obtained by QR of a
     random Gaussian matrix, so all pairwise distances are preserved.
     Returns (low, high) point clouds.
     """
-    if not (N > n >= 1):
-        raise InputError("need N > n >= 1")
+    if not (n > dim >= 1):
+        raise InputError("need n > dim >= 1")
     if extra_dims < 0:
         raise InputError(f"extra_dims must be >= 0, got {extra_dims}")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((N, n))
-    A = rng.standard_normal((n + extra_dims, n))
+    X = rng.standard_normal((n, dim))
+    A = rng.standard_normal((dim + extra_dims, dim))
     Q, _ = np.linalg.qr(A)
     Y = X @ Q.T
     return PointCloud(coords=X), PointCloud(coords=Y)

@@ -56,8 +56,8 @@ class Graph:
 
         Accepts (i, j) or (i, j, w) items, or an (m, 2) / (m, 3) array of
         them; (i, j) items weigh 1. Orients every edge as i < j, rejects
-        self-loops, duplicates and negative or non-finite weights. The
-        first offending edge is reported.
+        non-integer vertex ids, self-loops, duplicates and negative or
+        non-finite weights. The first offending edge is reported.
         """
         if n < 1:
             raise InputError("graph needs at least one vertex")
@@ -66,6 +66,10 @@ class Graph:
             arr = np.empty((0, 3))
         if arr.ndim != 2 or arr.shape[1] not in (2, 3):
             raise InputError("edges must be (i, j) or (i, j, w) items")
+        whole = (np.isfinite(arr[:, :2]) & (arr[:, :2] == np.floor(arr[:, :2]))).all(axis=1)
+        if not whole.all():
+            a, b = arr[np.argmin(whole), :2]  # the first edge with a non-integer id
+            raise InputError(f"non-integer vertex id on edge ({a:g},{b:g})")
         a, b = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
         i, j = np.minimum(a, b), np.maximum(a, b)
         w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr))

@@ -87,7 +87,7 @@ def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution
     if not records:
         raise EmptyResultError("cannot build a distribution from an empty profile")
     grid = grid or GridSpec()
-    r = np.array([rec["r"] for rec in records])
+    r = np.array([rec["r"] for rec in records], dtype=np.float64)
     if normalize_r:
         r /= r.max()
     obs = np.column_stack((
@@ -114,12 +114,14 @@ def _solve_transport_lp(p, q, M):
         (np.ones(2 * k.size), (np.concatenate([k // b, a + k % b]), np.tile(k, 2))), shape=(a + b, a * b)
     ).tocsr()[:-1]
     b_eq = np.concatenate([p, q[:-1]])
-    # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve
-    res = linprog(
-        M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
-    )
+    # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve;
+    # at HiGHS's default feasibility tolerance (1e-7) a basic flow can end below 0 and the cost below the optimum
+    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
+    if res.x.min() < -1e-12:
+        raise RuntimeError(f"transport LP returned a negative flow {res.x.min()!r}")
     return res.x.reshape(a, b), float(res.fun)
 
 

@@ -183,7 +183,9 @@ def w1_dense_lp(P, Q):
     for j in range(b):
         A_eq[a + j, j::b] = 1.0
     b_eq = np.concatenate([P.mass, Q.mass])
-    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default feasibility tolerance (1e-7) can leave a flow below 0 and the cost below the optimum
+    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9})
     assert res.success, res.message
     return float(res.fun)
 

@@ -232,6 +232,18 @@ class TestGenerateCommand:
         high = np.loadtxt(f"{out}.high.csv", delimiter=",")
         assert low.shape == (50, 2) and high.shape == (50, 52)
 
+    def test_generator_is_looked_up_when_called(self, tmp_path, monkeypatch):
+        # a wrapper put on curvprof.generate after import, as a profiler does, is the one that runs
+        import curvprof.generate as gen_mod
+
+        argv = ["generate", "--kind", "er", "--n", "40", "--seed", "2", "--out"]
+        assert cli.main([*argv, str(tmp_path / "plain.edges")]) == 0
+        calls, real = [], gen_mod.erdos_renyi
+        monkeypatch.setattr(gen_mod, "erdos_renyi", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        assert cli.main([*argv, str(tmp_path / "wrapped.edges")]) == 0
+        assert calls == [{"n": 40, "avg_degree": 4.0, "seed": 2}]
+        assert (tmp_path / "wrapped.edges").read_bytes() == (tmp_path / "plain.edges").read_bytes()
+
     def test_generate_then_profile_roundtrip(self, tmp_path):
         out = tmp_path / "net.edges"
         assert cli.main(["generate", "--kind", "ws", "--n", "80", "--k", "4", "--beta", "0.1", "--out", str(out)]) == 0
@@ -960,6 +972,11 @@ class TestMalformedOptions:
             (["generate", "--kind", "circle", "--n", "10", "--radius", "0"], None, "radius"),
             (["generate", "--kind", "circle", "--n", "10", "--radius", "-1"], None, "radius"),
             (["generate", "--kind", "circle", "--n", "10", "--radius", "nan"], None, "radius"),
+            # the generators' parameters are the options' names, so their refusals name what was typed
+            (["generate", "--kind", "dla", "--branches", "1"], None, "need branches >= 2"),
+            (["generate", "--kind", "dla", "--length", "1"], None, "need length >= 2"),
+            (["generate", "--kind", "dla", "--subdim", "0"], None, "need subdim >= 1"),
+            (["generate", "--kind", "gaussian", "--n", "3", "--dim", "3"], None, "need n > dim >= 1"),
             (["profile", "{pts}", "--eps", "nan"], None, "eps"),
             # an option that the kind does not read: the first one is named
             (["generate", "--kind", "tree", "--depth", "2", "--n", "7", "--seed", "3", "--avg-degree", "9"], None,
@@ -973,7 +990,8 @@ class TestMalformedOptions:
         ids=["profile-seed", "estimate-dim-seed", "er-seed", "ws-seed", "plane-seed", "env-seed",
              "profile-workers", "estimate-dim-workers", "env-workers",
              "gaussian-extra-dims", "dla-negative-noise", "dla-nan-noise", "circle-zero-radius",
-             "circle-negative-radius", "circle-nan-radius", "eps-nan", "tree-n", "er-depth", "gaussian-noise",
+             "circle-negative-radius", "circle-nan-radius", "dla-branches", "dla-length", "dla-subdim",
+             "gaussian-n-dim", "eps-nan", "tree-n", "er-depth", "gaussian-noise",
              "embeddings-dir-without-external"],
     )
     def test_bad_value_names_itself_and_exits_2(self, tmp_path, monkeypatch, capsys, argv, env, named):

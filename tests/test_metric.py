@@ -50,6 +50,12 @@ class TestShortestPaths:
         with pytest.raises(InputError, match=rf"non-finite edge weight {w} on \(1,2\)"):
             Graph.from_edges(4, [(0, 1, 1.0), (2, 1, w), (2, 3, -1.0)])
 
+    @pytest.mark.parametrize("v", [1.5, -0.5, np.nan, np.inf])
+    def test_non_integer_vertex_id_rejected(self, v):
+        # the first such edge is named; a 1.5 was once truncated into the edge (0,1)
+        with pytest.raises(InputError, match=rf"non-integer vertex id on edge \(0,{v:g}\)"):
+            Graph.from_edges(3, [(0, 1), (0, v), (1, 2.5)])
+
     def test_edgeless_graph_goes_through_the_one_solver(self, monkeypatch):
         # unweighted graphs, the edgeless one and n = 1 included, get hop counts
         # from the BFS and never reach scipy; a weighted graph reaches it once
