@@ -5,7 +5,7 @@ epsilon-ball graph, and a density-adaptive k-NN graph whose per-point k
 interpolates between k_min and k_max according to a normalized local
 density score.
 
-Every rule reads the pairwise distances in row blocks of about 2 MB
+Every rule reads the pairwise distances in row blocks of about 1 MB
 (``cdist`` rows of a point cloud, slices of a metric), whatever the input
 size, so a graph never depends on n crossing a threshold. Neighbor lists
 are exact and ordered by (distance, index).
@@ -20,7 +20,16 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .metric import DistanceMatrix, Graph, InputError, _read_csv, distance_matrix_from_array, load_edge_list
+from .metric import (
+    DistanceMatrix,
+    Graph,
+    InputError,
+    _read_csv,
+    _row_ranges,
+    _square_checks,
+    distance_matrix_from_array,
+    load_edge_list,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +79,16 @@ def _pairwise(data):
 
 
 def _row_blocks(data):
-    """The pairwise distances as fresh ``(lo, d)`` row blocks of about 2 MB of float64.
+    """The pairwise distances as fresh ``(lo, d)`` row blocks of ``metric._row_ranges``.
 
     ``d`` holds the rows from ``lo`` on: ``cdist`` rows of a point cloud,
     copied slices of a metric. The input checks of ``_pairwise`` run on the
     call, before any block is made.
     """
     full = None if isinstance(data, PointCloud) else _pairwise(data)
-    step = max(1, (1 << 18) // data.n)
     return (
-        (lo, cdist(data.coords[lo:lo + step], data.coords) if full is None
-         else np.array(full[lo:lo + step]))
-        for lo in range(0, data.n, step)
+        (lo, cdist(data.coords[lo:hi], data.coords) if full is None else np.array(full[lo:hi]))
+        for lo, hi in _row_ranges(data.n)
     )
 
 
@@ -183,13 +190,16 @@ def _graph_from_neighbor_selection(idx, dist, k_per_point):
 
 
 def _looks_square_metric(arr):
+    """Whether a CSV array reads as a metric: square, near-zero diagonal, nonnegative and symmetric.
+
+    Infinite entries pass, so that :func:`distance_matrix_from_array` refuses them by name.
+    """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         return False
-    return (
-        np.allclose(np.diag(arr), 0.0, atol=1e-12)
-        and np.allclose(arr, arr.T, rtol=1e-9, atol=1e-12)
-        and np.all(arr >= 0)
-    )
+    if not np.allclose(np.diag(arr), 0.0, atol=1e-12):
+        return False
+    _, nonnegative, symmetric = _square_checks(arr)
+    return nonnegative and symmetric
 
 
 def load_input(path, fmt=None):

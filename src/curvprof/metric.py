@@ -21,6 +21,10 @@ logger = logging.getLogger(__name__)
 # side-length equality tolerance (relative) for exact integer-valued metrics
 EXACT_SIDE_RTOL = 1e-9
 
+# entries in a row block of a pass over an n x n matrix: 1 MB of float64, whatever n is. A
+# pass holds about two block-sized float temporaries at most, a quarter of a 1000-point matrix.
+_BLOCK_ENTRIES = 1 << 17
+
 
 class InputError(ValueError):
     """Malformed input data or out-of-range parameters."""
@@ -70,19 +74,21 @@ class Graph:
         if not whole.all():
             a, b = arr[np.argmin(whole), :2]  # the first edge with a non-integer id
             raise InputError(f"non-integer vertex id on edge ({a:g},{b:g})")
-        a, b = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
-        i, j = np.minimum(a, b), np.maximum(a, b)
+        lo_id, hi_id = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+        outside = (lo_id < 0) | (hi_id >= n)
+        # the range is checked on the typed ids: clipped, the refused ones cast to int64 exactly
+        i, j = (np.clip(x, -1, n).astype(np.int64) for x in (lo_id, hi_id))
         w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr))
         order = np.lexsort((j, i))  # stable: repeats keep their input order
         dup = np.zeros(len(arr), dtype=bool)
         dup[order[1:]] = (i[order[1:]] == i[order[:-1]]) & (j[order[1:]] == j[order[:-1]])
-        bad = np.flatnonzero((i == j) | (i < 0) | (j >= n) | dup | ~np.isfinite(w) | (w < 0))
+        bad = np.flatnonzero((lo_id == hi_id) | outside | dup | ~np.isfinite(w) | (w < 0))
         if bad.size:
             k = bad[0]
-            lo, hi = int(i[k]), int(j[k])
-            if lo == hi:
+            lo, hi = (f"{x + 0.0:.17g}" for x in (lo_id[k], hi_id[k]))  # whole ids as typed: 7, 1e+20
+            if lo_id[k] == hi_id[k]:
                 raise InputError(f"self-loop at vertex {lo}")
-            if not (0 <= lo and hi < n):
+            if outside[k]:
                 raise InputError(f"edge ({lo},{hi}) out of range for n={n}")
             if dup[k]:
                 raise InputError(f"duplicate edge ({lo},{hi})")
@@ -133,21 +139,36 @@ class DistanceMatrix:
         return _finalize_distance_matrix(self.d * c)
 
 
+def _row_ranges(n):
+    """The ``(lo, hi)`` row ranges of an n-column matrix in blocks of about ``_BLOCK_ENTRIES`` entries."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _finalize_distance_matrix(d):
     """Derive the connectivity, diameter and integrality flags of ``d``.
 
     Takes over ``d``, a fresh C-contiguous float64 array with a zero
     diagonal; the diagonal changes neither the maximum nor the integrality
-    test.
+    test. Reads ``d`` in row blocks, so its temporary arrays are a block's
+    size, not the matrix's.
     """
-    finite = np.isfinite(d)
-    diameter = float(np.max(d, where=finite, initial=0.0))
+    finite, diameters, errors = zip(*(_block_flags(d[lo:hi]) for lo, hi in _row_ranges(d.shape[0])))
+    return DistanceMatrix(d=d, connected=all(finite), diameter=max(diameters), integer_valued=max(errors) <= 1e-9)
+
+
+def _block_flags(block):
+    """A row block's flags: all finite, its largest finite entry, and how far its finite entries are from integers."""
+    finite = np.isfinite(block)
     with np.errstate(invalid="ignore"):  # inf - inf is masked out
-        err = np.rint(d)
-        np.subtract(d, err, out=err)
+        err = np.rint(block)
+        np.subtract(block, err, out=err)
         np.abs(err, out=err)
-    integer_valued = bool(np.max(err, where=finite, initial=0.0) <= 1e-9)
-    return DistanceMatrix(d=d, connected=bool(finite.all()), diameter=diameter, integer_valued=integer_valued)
+    return (
+        bool(finite.all()),
+        float(np.max(block, where=finite, initial=0.0)),
+        float(np.max(err, where=finite, initial=0.0)),
+    )
 
 
 def _hop_counts(graph: Graph):
@@ -161,9 +182,10 @@ def _hop_counts(graph: Graph):
     degree > k in place. Plane b of the bit-sliced result holds bit b of
     every distance.
 
-    The flags need no scan of the matrix: hop counts are integers, the
-    largest finite one is the number of levels, and the graph is connected
-    when no pair is left unreached.
+    The matrix is filled from the planes in row blocks, so it is the one
+    N² array made. The flags need no scan of it: hop counts are integers,
+    the largest finite one is the number of levels, and the graph is
+    connected when no pair is left unreached.
     """
     n, words = graph.n, -(-graph.n // 64)
     ends, others = np.concatenate((graph.i, graph.j)), np.concatenate((graph.j, graph.i))
@@ -195,18 +217,20 @@ def _hop_counts(graph: Graph):
         unreached ^= new
         frontier, new = new, frontier
 
-    def unpack(bits):  # vertex-ordered rows, one byte per source
-        bytes_ = bits[pos].astype("<u8", copy=False).view(np.uint8)
+    def unpack(bits, rows):  # the given vertices' rows, one byte per source
+        bytes_ = bits[pos[rows]].astype("<u8", copy=False).view(np.uint8)
         return np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
 
-    acc = np.zeros((n, n), dtype=np.uint16 if len(planes) <= 16 else np.uint32)
-    for b, plane in enumerate(planes):
-        acc |= np.left_shift(unpack(plane), b, dtype=acc.dtype)
-    d = acc.astype(np.float64)
-    del acc
-    apart = unpack(unreached).view(bool)
-    d[apart] = np.inf
-    return DistanceMatrix(d=d, connected=not apart.any(), diameter=float(levels), integer_valued=True)
+    d, connected = np.empty((n, n)), True
+    for lo, hi in _row_ranges(n):
+        acc = np.zeros((hi - lo, n), dtype=np.uint16 if len(planes) <= 16 else np.uint32)
+        for b, plane in enumerate(planes):
+            acc |= np.left_shift(unpack(plane, slice(lo, hi)), b, dtype=acc.dtype)
+        d[lo:hi] = acc
+        apart = unpack(unreached, slice(lo, hi)).view(bool)
+        d[lo:hi][apart] = np.inf
+        connected = connected and not apart.any()
+    return DistanceMatrix(d=d, connected=connected, diameter=float(levels), integer_valued=True)
 
 
 def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
@@ -230,27 +254,49 @@ def shortest_path_matrix(graph: Graph) -> DistanceMatrix:
     return _finalize_distance_matrix(d)
 
 
+def _square_checks(d):
+    """Whether a square ``d`` is finite, nonnegative and symmetric, as three bools.
+
+    Symmetric means ``np.allclose(d, d.T, rtol=1e-9, atol=1e-12)``; every
+    check reads ``d`` in row blocks, comparing rows ``d[lo:hi]`` with
+    columns ``d[:, lo:hi]``, so no temporary array is the matrix's size.
+    """
+    finite = nonnegative = symmetric = True
+    for lo, hi in _row_ranges(d.shape[0]):
+        rows, cols = d[lo:hi], d[:, lo:hi].T
+        finite = finite and bool(np.isfinite(rows).all())
+        nonnegative = nonnegative and not (rows < 0).any()
+        symmetric = symmetric and np.allclose(rows, cols, rtol=1e-9, atol=1e-12)
+    return finite, nonnegative, symmetric
+
+
 def distance_matrix_from_array(arr) -> DistanceMatrix:
     """Wrap a raw square array of finite distances.
 
     Validates symmetry, zero diagonal and nonnegativity; the caller is
-    responsible for the triangle inequality.
+    responsible for the triangle inequality. The checks and the
+    symmetrised copy ``0.5 * (d + d.T)`` run in row blocks: the copy is the
+    one matrix-sized array made.
     """
     d = np.asarray(arr, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {d.shape}")
     if d.shape[0] < 1:
         raise InputError("empty distance matrix")
-    if not np.isfinite(d).all():
+    finite, nonnegative, symmetric = _square_checks(d)
+    if not finite:
         raise InputError("distance matrix contains NaN or Inf")
-    if np.any(d < 0):
+    if not nonnegative:
         raise InputError("distance matrix contains negative entries")
-    if not np.allclose(d, d.T, rtol=1e-9, atol=1e-12):
+    if not symmetric:
         raise InputError("distance matrix is not symmetric")
-    d = 0.5 * (d + d.T)
-    if np.any(np.diag(d) != 0):
+    out = np.empty(d.shape)
+    for lo, hi in _row_ranges(d.shape[0]):
+        np.add(d[lo:hi], d[:, lo:hi].T, out=out[lo:hi])
+        out[lo:hi] *= 0.5
+    if np.any(np.diag(out) != 0):
         raise InputError("distance matrix diagonal must be zero")
-    return _finalize_distance_matrix(d)
+    return _finalize_distance_matrix(out)
 
 
 def gromov_products(d12, d13, d23) -> tuple[float, float, float]:

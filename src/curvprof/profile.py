@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .metric import DistanceMatrix, InputError, _read_text, gromov_products
+from .metric import DistanceMatrix, InputError, _read_text, _row_ranges, gromov_products
 
 logger = logging.getLogger(__name__)
 
@@ -56,21 +56,32 @@ def _side_keys(D, h):
     Exact metrics (``h`` None) key a pair by its rounded side; binned ones
     by the half-open window ``[k*h, (k+1)*h)`` that holds it. The diagonal,
     sides below one unit or one bin (they cannot be certified equal) and
-    pairs at ``inf`` (no path) get 0. Stored in the smallest unsigned dtype
-    that holds the largest key.
+    pairs at ``inf`` (no path) get 0. Keys grow with the side, so the
+    largest is the key of ``D.diameter`` (:func:`build_profile` refuses a
+    bin width that makes it overflow); the keys are stored in the smallest
+    unsigned dtype that holds it, written row block by row block
+    (``metric._row_ranges``) with no float matrix in between.
     """
-    d = D.d
+    top = int(_keys_of(np.array([D.diameter]), h)[0])
+    keys = np.empty(D.d.shape, dtype=np.min_scalar_type(top))
+    for lo, hi in _row_ranges(D.n):
+        keys[lo:hi] = _keys_of(D.d[lo:hi], h)
+    return keys
+
+
+def _keys_of(d, h):
+    """The float scale keys of an array of sides; see :func:`_side_keys`."""
     if h is None:
         keys = np.rint(d)
     else:
-        keys = np.floor(d / h)
+        keys = d / h
+        np.floor(keys, out=keys)
         # d / h can round across a window edge: one step back into the window
         keys -= keys * h > d
         keys += (keys + 1) * h <= d
-    # one N² mask at a time: or-ing the two masks raised peak RSS
     keys[keys < 1] = 0
     keys[np.isinf(keys)] = 0
-    return keys.astype(np.min_scalar_type(int(keys.max())))
+    return keys
 
 
 def cluster_sample_subset(D, n_clusters, per_cluster, seed=0):
@@ -269,12 +280,12 @@ def build_profile(
     Every vertex pair belongs to at most one scale, keyed once by
     :func:`_side_keys`: the rounded side for exact graph metrics, or the
     window of width ``h`` (default diameter/50) holding it for weighted
-    metrics; ``h`` is rejected on integer-valued metrics. The scales are
-    the keys that occur. Per scale, triples come from
-    :func:`find_equilateral_triples` on the pairs with that key, with a
-    scale-local RNG derived from (seed, key), so the profile is
-    reproducible and independent of the worker count. Scales with no
-    triples are omitted.
+    metrics; ``h`` is rejected on integer-valued metrics, and when
+    diameter / ``h`` overflows a float. The scales are the keys that
+    occur. Per scale, triples come from :func:`find_equilateral_triples`
+    on the pairs with that key, with a scale-local RNG derived from
+    (seed, key), so the profile is reproducible and independent of the
+    worker count. Scales with no triples are omitted.
 
     The profile is the JSON document :func:`save_profile_json` writes:
     ``{"meta": {...}, "records": [...]}``, one record per scale in
@@ -296,6 +307,8 @@ def build_profile(
         raise InputError("workers must be >= 1")
     if h is not None and not (math.isfinite(h) and h > 0):
         raise InputError(f"side bin width must be finite and positive, got {h}")
+    if h is not None and not math.isfinite(D.diameter / h):  # _side_keys sizes its keys by the diameter's
+        raise InputError(f"side bin width {h} is too small: the diameter spans more bins than a float holds")
     if h is not None and D.integer_valued:
         raise InputError("side bin width applies to weighted metrics only; this metric is integer-valued")
 

@@ -463,6 +463,79 @@ def finalize_distance_matrix_copying(d):
     )
 
 
+def finalize_distance_matrix_one_shot(d):
+    """Whole-matrix finalisation: one finite mask and one float temporary of the matrix's size.
+
+    The row-blocked _finalize_distance_matrix must give the same flags.
+    """
+    from curvprof.metric import DistanceMatrix
+
+    finite = np.isfinite(d)
+    diameter = float(np.max(d, where=finite, initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is masked out
+        err = np.abs(d - np.rint(d))
+    integer_valued = bool(np.max(err, where=finite, initial=0.0) <= 1e-9)
+    return DistanceMatrix(d=d, connected=bool(finite.all()), diameter=diameter, integer_valued=integer_valued)
+
+
+def side_keys_one_shot(D, h):
+    """Scale keys computed over the whole matrix in float64 and cast once to the smallest unsigned dtype.
+
+    The row-blocked _side_keys must give the same keys in the same dtype.
+    """
+    d = D.d
+    if h is None:
+        keys = np.rint(d)
+    else:
+        keys = np.floor(d / h)
+        keys -= keys * h > d
+        keys += (keys + 1) * h <= d
+    keys[keys < 1] = 0
+    keys[np.isinf(keys)] = 0
+    return keys.astype(np.min_scalar_type(int(keys.max())))
+
+
+def distance_matrix_from_array_one_shot(arr):
+    """Whole-matrix checks and symmetrisation, kept as the reference for distance_matrix_from_array."""
+    from curvprof import InputError
+
+    d = np.asarray(arr, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InputError(f"distance matrix must be square, got shape {d.shape}")
+    if d.shape[0] < 1:
+        raise InputError("empty distance matrix")
+    if not np.isfinite(d).all():
+        raise InputError("distance matrix contains NaN or Inf")
+    if np.any(d < 0):
+        raise InputError("distance matrix contains negative entries")
+    if not np.allclose(d, d.T, rtol=1e-9, atol=1e-12):
+        raise InputError("distance matrix is not symmetric")
+    d = 0.5 * (d + d.T)
+    if np.any(np.diag(d) != 0):
+        raise InputError("distance matrix diagonal must be zero")
+    return finalize_distance_matrix_one_shot(d)
+
+
+def looks_square_metric_one_shot(arr):
+    """Whole-matrix form of graphs._looks_square_metric."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        return False
+    return bool(
+        np.allclose(np.diag(arr), 0.0, atol=1e-12)
+        and np.allclose(arr, arr.T, rtol=1e-9, atol=1e-12)
+        and np.all(arr >= 0)
+    )
+
+
+def hop_counts_dijkstra(n, edges):
+    """All-pairs hop counts by scipy's unweighted Dijkstra; inf where there is no path."""
+    from scipy.sparse.csgraph import shortest_path
+
+    i, j = (np.array([e[k] for e in edges], dtype=np.int64) for k in (0, 1))
+    adjacency = coo_matrix((np.ones(len(edges)), (i, j)), shape=(n, n)).tocsr()
+    return shortest_path(adjacency, method="D", directed=False, unweighted=True)
+
+
 def neighbor_lists_argsort(data, kmax):
     """Full-row stable argsort neighbor lists, kept as the reference for _neighbor_lists.
 

@@ -881,7 +881,7 @@ class TestMalformedOptions:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: not enough memory: Unable to allocate 74.5 GiB")
 
-    @pytest.mark.parametrize("side_bin", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("side_bin", ["nan", "inf", "-1", "0", "1e-309"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bad_side_bin_exits_2(self, tmp_path, capsys, side_bin, weighted):
         if weighted:

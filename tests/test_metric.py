@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ class TestShortestPaths:
         # the first bad edge is named, after valid ones and before later bad ones
         with pytest.raises(InputError, match=rf"non-finite edge weight {w} on \(1,2\)"):
             Graph.from_edges(4, [(0, 1, 1.0), (2, 1, w), (2, 3, -1.0)])
+
+    @pytest.mark.parametrize(
+        "v, edge", [(1e20, "0,1e+20"), (-1e20, "-1e+20,0"), (2.0**63, "0,9.2233720368547758e+18")]
+    )
+    def test_huge_vertex_id_is_named_as_typed(self, v, edge):
+        # an id past int64 was once cast to -9223372036854775808 with a RuntimeWarning
+        with pytest.raises(InputError, match=rf"^edge \({re.escape(edge)}\) out of range for n=3$"):
+            Graph.from_edges(3, [(0, v)])
 
     @pytest.mark.parametrize("v", [1.5, -0.5, np.nan, np.inf])
     def test_non_integer_vertex_id_rejected(self, v):
@@ -219,6 +229,35 @@ class TestDistanceMatrixValidation:
         assert not S.connected
         assert np.array_equal(np.isinf(S.d), np.isinf(D.d))
         assert not S.integer_valued
+
+    @pytest.mark.parametrize("stage", ["finalize", "side_keys", "hop_counts", "from_array"])
+    def test_matrix_passes_allocate_their_results_and_half_a_matrix(self, stage):
+        # every pass over a whole matrix runs in row blocks: at n = 1000 a block is a
+        # quarter of the matrix, and no temporary array is the matrix's size
+        import tracemalloc
+
+        from curvprof.generate import erdos_renyi, plane_sample
+        from curvprof.metric import _finalize_distance_matrix, _hop_counts
+        from curvprof.profile import DEFAULT_SIDE_BINS, _side_keys
+
+        n = 1000
+        d = oracles.euclidean_matrix(plane_sample(n, seed=0).coords)
+        D = _finalize_distance_matrix(d.copy())
+        g = erdos_renyi(n, 4.0, seed=0)
+        run = {
+            "finalize": lambda: _finalize_distance_matrix(d),
+            "side_keys": lambda: _side_keys(D, D.diameter / DEFAULT_SIDE_BINS),
+            "hop_counts": lambda: _hop_counts(g).d,
+            "from_array": lambda: distance_matrix_from_array(d).d,
+        }[stage]
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        made = 0 if stage == "finalize" else out.nbytes  # finalisation takes its matrix over
+        assert peak <= made + d.nbytes / 2
 
     def test_finalisation_needs_no_full_size_side_copies(self):
         import tracemalloc

@@ -29,9 +29,10 @@ from curvprof import (
     transport,
     wasserstein1,
 )
+from curvprof import metric as metric_module
 from curvprof import profile as profile_module
-from curvprof.graphs import _graph_from_neighbor_selection, _neighbor_lists, _pairwise
-from curvprof.metric import _finalize_distance_matrix
+from curvprof.graphs import _graph_from_neighbor_selection, _looks_square_metric, _neighbor_lists, _pairwise
+from curvprof.metric import _finalize_distance_matrix, _hop_counts
 from curvprof.profile import (
     _EDGE_CHUNK,
     _RHO_RANGE_SLACK,
@@ -541,6 +542,112 @@ def test_hop_counts_on_a_long_path_and_cycle():
         D = shortest_path_matrix(Graph.from_edges(n, edges))
         assert D.d.tobytes() == expected.tobytes()
         assert D.connected and D.diameter == expected.max()
+
+
+def _blocks_of(entries):
+    """Row blocks of ``entries`` matrix entries (at least one row): small metrics span several blocks."""
+    return mock.patch.object(metric_module, "_BLOCK_ENTRIES", entries)
+
+
+def _on_window_edges(D, k):
+    """A bin width that puts the first positive finite side on the edge of window k, or None."""
+    sides = D.d[np.isfinite(D.d) & (D.d > 0)]
+    return float(sides[0]) / k if sides.size else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=small_metrics(),
+    scale=st.sampled_from([1.0, 0.3, 1e10]),
+    bins=st.sampled_from(["exact", "default", "unit", "edge-1", "edge-3"]),
+    entries=st.integers(1, 45),
+)
+# sides 1.5e10, 2.5e10 and 3.5e10 binned by 1e10: keys 1, 2 and 3
+@example(
+    D=distance_matrix_from_array([[0.0, 1.5, 2.5], [1.5, 0.0, 3.5], [2.5, 3.5, 0.0]]),
+    scale=1e10,
+    bins="edge-1",
+    entries=3,
+)
+def test_blocked_flags_and_keys_equal_the_one_shot_references(D, scale, bins, entries):
+    with _blocks_of(entries):
+        S = D.scaled(scale)  # a blocked finalisation
+        ref = oracles.finalize_distance_matrix_one_shot(D.d * scale)
+        assert S.d.tobytes() == ref.d.tobytes()
+        assert (S.connected, S.diameter, S.integer_valued) == (ref.connected, ref.diameter, ref.integer_valued)
+        h = {
+            "exact": None,
+            "default": S.diameter / DEFAULT_SIDE_BINS or None,
+            "unit": 1.0,  # every side of an integer metric on a window edge
+            "edge-1": _on_window_edges(S, 1),
+            "edge-3": _on_window_edges(S, 3),
+        }[bins]
+        # build_profile refuses a bin width that overflows the diameter's key, where both
+        # key functions warn and the blocked one has no dtype to hold the other keys
+        assume(h is None or np.isfinite(S.diameter / h))
+        keys, expected = _side_keys(S, h), oracles.side_keys_one_shot(S, h)
+        assert keys.dtype == expected.dtype
+        assert np.array_equal(keys, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=unweighted_graphs(), entries=st.integers(1, 600))
+@example(graph=(129, _cycle_edges(129)), entries=129)
+@example(graph=(5, []), entries=1)
+def test_blocked_hop_counts_equal_unweighted_dijkstra(graph, entries):
+    n, edges = graph
+    with _blocks_of(entries):
+        got = _hop_counts(Graph.from_edges(n, edges))
+    expected = oracles.hop_counts_dijkstra(n, edges)
+    finite = np.isfinite(expected)
+    assert got.d.tobytes() == expected.tobytes()
+    assert (got.connected, got.diameter) == (bool(finite.all()), float(expected[finite].max()))
+
+
+@st.composite
+def near_symmetric_arrays(draw):
+    """Square arrays at the edge of every check.
+
+    Asymmetry below, on and above allclose's tolerances, and one entry
+    set to -1, NaN, inf or 1e-13 (on the diagonal, 1e-13 breaks its zeros).
+    """
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.random((n, n)) * 10.0 ** draw(st.sampled_from([-12, 0, 10]))
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    # relative asymmetry below, on and above the tolerance; an absolute one near atol
+    nudge = draw(st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, 1e-6]))
+    d *= 1.0 + nudge * np.triu(rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 1.0])))
+    d[np.tril_indices(n, -1)] += draw(st.sampled_from([0.0, 5e-13, 2e-12]))
+    spoil = draw(st.sampled_from([None, -1.0, np.nan, np.inf, 1e-13]))
+    if spoil is not None:
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        d[i, j] = spoil
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(arr=near_symmetric_arrays(), entries=st.integers(1, 60))
+@example(arr=np.zeros((1, 1)), entries=1)
+def test_blocked_distance_matrix_checks_equal_the_one_shot_ones(arr, entries):
+    with _blocks_of(entries):
+        assert _looks_square_metric(arr) is oracles.looks_square_metric_one_shot(arr)
+        try:
+            expected = oracles.distance_matrix_from_array_one_shot(arr)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                distance_matrix_from_array(arr)
+            assert str(got.value) == str(exc)
+            return
+        D = distance_matrix_from_array(arr)
+    assert D.d.tobytes() == expected.d.tobytes()
+    assert D.d.flags.c_contiguous
+    assert (D.connected, D.diameter, D.integer_valued) == (
+        expected.connected,
+        expected.diameter,
+        expected.integer_valued,
+    )
 
 
 @settings(max_examples=300, deadline=None)
