@@ -10,6 +10,7 @@ linear program on the occupied nodes.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .metric import EmptyResultError, InputError
+
+logger = logging.getLogger(__name__)
 
 MASS_SUM_TOL = 1e-12
 
@@ -104,25 +107,85 @@ def _dist_key(dist):
     return dist.support.tobytes(), dist.mass.tobytes()
 
 
-def _solve_transport_lp(p, q, M):
-    """Exact transport LP between mass vectors p, q with cost matrix M."""
+# at or below this many flows the LP holds every flow; above it, it starts from a shortlist
+_COLUMN_BUDGET = 4096
+
+
+def _restricted_lp(p, q, M, k):
+    """The transport LP over the flows ``k`` only; flow k runs from source k // b to sink k % b."""
     a, b = len(p), len(q)
-    # flow k, from source k // b to sink k % b, enters that source's row sum
-    # and that sink's column sum; the last column sum is redundant and dropped
-    k = np.arange(a * b)
+    # flow k enters its source's row sum and its sink's column sum; the last column sum is redundant and dropped
     A_eq = coo_matrix(
-        (np.ones(2 * k.size), (np.concatenate([k // b, a + k % b]), np.tile(k, 2))), shape=(a + b, a * b)
+        (np.ones(2 * k.size), (np.concatenate([k // b, a + k % b]), np.tile(np.arange(k.size), 2))),
+        shape=(a + b, k.size),
     ).tocsr()[:-1]
-    b_eq = np.concatenate([p, q[:-1]])
     # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve;
     # at HiGHS's default feasibility tolerance (1e-7) a basic flow can end below 0 and the cost below the optimum
-    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    res = linprog(M.ravel()[k], A_eq=A_eq, b_eq=np.concatenate([p, q[:-1]]), bounds=(0, None), method="highs",
                   options={"presolve": False, "primal_feasibility_tolerance": 1e-9})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     if res.x.min() < -1e-12:
         raise RuntimeError(f"transport LP returned a negative flow {res.x.min()!r}")
-    return res.x.reshape(a, b), float(res.fun)
+    return res
+
+
+def _shortlist(p, q, M):
+    """Each source's ``_COLUMN_BUDGET // a`` nearest sinks and the north-west-corner support, as sorted flows.
+
+    The north-west corner walks sources and sinks in order and moves on from
+    whichever has less mass left, so its cells carry a feasible plan.
+    """
+    a, b = len(p), len(q)
+    near = _COLUMN_BUDGET // a  # < b, since a * b exceeds the budget
+    cells = [(np.arange(a)[:, None] * b + np.argpartition(M, near, axis=1)[:, :near]).ravel()]
+    i = j = 0
+    left_p, left_q = p[0], q[0]
+    while i < a - 1 or j < b - 1:
+        cells.append([i * b + j])
+        if j == b - 1 or (i < a - 1 and left_p < left_q):
+            left_q -= left_p
+            i += 1
+            left_p = p[i]
+        else:
+            left_p -= left_q
+            j += 1
+            left_q = q[j]
+    cells.append([a * b - 1])
+    return np.unique(np.concatenate(cells))
+
+
+def _solve_transport_lp(p, q, M):
+    """Exact transport LP between mass vectors p, q with cost matrix M; returns (a x b plan, cost).
+
+    Up to ``_COLUMN_BUDGET`` flows the LP holds them all and is solved once.
+    Above it, the LP starts from ``_shortlist`` and is priced to optimality:
+    each round's duals give every left-out flow its reduced cost, and the
+    flows below a tolerance scaled to the largest cost join the LP, at most a
+    budget's worth and the most negative first, until none is left.
+    """
+    a, b = len(p), len(q)
+    k = np.arange(a * b) if a * b <= _COLUMN_BUDGET else _shortlist(p, q, M)
+    tol = 1e-12 * max(float(M.max()), 1.0)
+    rounds = 0
+    while True:
+        res = _restricted_lp(p, q, M, k)
+        rounds += 1
+        if k.size == a * b:
+            break
+        duals = res.eqlin.marginals
+        reduced = (M - duals[:a, None] - np.append(duals[a:], 0.0)).ravel()
+        reduced[k] = 0.0
+        add = np.flatnonzero(reduced < -tol)
+        if not add.size:
+            break
+        if add.size > _COLUMN_BUDGET:
+            add = add[np.argpartition(reduced[add], _COLUMN_BUDGET)[:_COLUMN_BUDGET]]
+        k = np.union1d(k, add)
+    logger.debug("transport LP: %d x %d, %d round(s), %d of %d columns", a, b, rounds, k.size, a * b)
+    plan = np.zeros(a * b)
+    plan[k] = res.x
+    return plan.reshape(a, b), float(res.fun)
 
 
 def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=False):
@@ -132,7 +195,9 @@ def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=Fal
     the smaller ``_dist_key`` is the LP's source, so the result is exactly
     symmetric; identical inputs short-circuit to zero. With ``return_plan``
     the result is ``(cost, flows)``: the nonzero flows as (index in P,
-    index in Q, amount) tuples.
+    index in Q, amount) tuples. Above ``_COLUMN_BUDGET`` flows the LP is
+    priced from a shortlist (``_solve_transport_lp``): the cost is the same
+    optimum, but the plan may be another optimal one.
     """
     if P.grid != Q.grid:
         raise InputError("distributions live on different grids")

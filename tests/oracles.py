@@ -190,6 +190,20 @@ def w1_dense_lp(P, Q):
     return float(res.fun)
 
 
+def transport_lp_full(p, q, M):
+    """(a x b plan, cost) of the transport LP that holds every one of the a * b flows, in one solve."""
+    a, b = len(p), len(q)
+    k = np.arange(a * b)
+    A_eq = coo_matrix(
+        (np.ones(2 * k.size), (np.concatenate([k // b, a + k % b]), np.tile(k, 2))), shape=(a + b, a * b)
+    ).tocsr()[:-1]
+    b_eq = np.concatenate([p, q[:-1]])
+    res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9})
+    assert res.success, res.message
+    return res.x.reshape(a, b), float(res.fun)
+
+
 def transport_lp_equalities(a, b):
     """Equality matrix of the a x b transport LP, built block by block.
 

@@ -204,6 +204,27 @@ class TestWasserstein:
         assert np.abs(np.bincount(j, amount, minlength=len(Q.mass)) - Q.mass).max() <= 1e-12
         assert abs(cost - oracles.w1_network_simplex(P, Q)) <= 1e-12
 
+    def test_large_pair_prices_under_a_quarter_of_its_flows(self, monkeypatch):
+        # HiGHS's memory grows with the LP's columns and tracemalloc cannot see it, so count the columns
+        rng, nodes = np.random.default_rng(300), GridSpec().nodes()
+
+        def measure():
+            w = rng.integers(1, 1001, size=300)
+            return ProfileDistribution(nodes[np.sort(rng.choice(len(nodes), 300, replace=False))], w / w.sum(),
+                                       GridSpec())
+
+        P, Q = measure(), measure()
+        M = cdist(P.support, Q.support)
+        columns = []
+        real_linprog = transport.linprog
+        monkeypatch.setattr(transport, "linprog", lambda c, **kw: columns.append(c.size) or real_linprog(c, **kw))
+        plan, cost = transport._solve_transport_lp(P.mass, Q.mass, M)
+        assert len(columns) > 1
+        assert max(columns) < 300 * 300 / 4
+        assert plan.shape == (300, 300)
+        # the dense oracle's equality matrix would take 432 MB here
+        assert abs(cost - oracles.transport_lp_full(P.mass, Q.mass, M)[1]) <= 1e-12
+
     def test_symmetry_exact(self):
         grid = GridSpec()
         rng = np.random.default_rng(3)
