@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,11 +133,11 @@ def _parse_dims(spec, n):
     return sorted(dims)
 
 
-def _parse_grid(spec):
+def _parse_grid(spec, r_max=None):
     m = re.fullmatch(r"(\d+)x(\d+)", spec)
     if not m:
         raise InputError(f"grid must look like '50x50', got {spec!r}")
-    return GridSpec(nr=int(m.group(1)), nrho=int(m.group(2)))
+    return GridSpec(nr=int(m.group(1)), nrho=int(m.group(2)), r_max=r_max)
 
 
 def _parse_cluster_sample(spec):
@@ -267,21 +266,17 @@ def cmd_embed(args):
 def cmd_compare(args):
     pa = load_profile_json(args.profile_a)
     pb = load_profile_json(args.profile_b)
-    grid = _parse_grid(args.grid)
-    if args.no_normalize_r:
-        # raw r keeps the profiles' units, so the r axis must reach the largest
-        # r of either profile (an empty profile fails in to_distribution below)
-        max_r = max((rec["r"] for p in (pa, pb) for rec in p["records"]), default=1.0)
-        grid = replace(grid, r_range=(0.0, max_r))
-    da = to_distribution(pa, grid, normalize_r=not args.no_normalize_r)
-    db = to_distribution(pb, grid, normalize_r=not args.no_normalize_r)
-    cost, flows = wasserstein1(da, db, return_plan=True)
+    # raw r keeps the profiles' units, so the r axis must reach the largest
+    # r of either profile (an empty profile fails in to_distribution below)
+    r_max = max((rec["r"] for p in (pa, pb) for rec in p["records"]), default=1.0) if args.no_normalize_r else None
+    grid = _parse_grid(args.grid, r_max)
+    cost, plan = wasserstein1(to_distribution(pa, grid), to_distribution(pb, grid), return_plan=True)
     payload = {
         "w1": cost,
         "grid": grid.to_dict(),
         "plan_summary": {
-            "n_flows": len(flows),
-            "max_flow": max((f[2] for f in flows), default=0.0),
+            "n_flows": int(np.count_nonzero(plan > 1e-15)),
+            "max_flow": float(plan.max()),
         },
         "config": _resolved_config(args),
     }

@@ -1,16 +1,17 @@
 """Profiles as discrete measures and exact 1-Wasserstein comparison.
 
 A profile becomes a probability distribution over a common (r, rho) grid:
-the scale axis is normalized by the profile's own largest r, every triangle
-observation is snapped to its nearest grid node, and node masses are
-triangle counts over the total. Two distributions on the same grid are
-compared by exact optimal transport with Euclidean ground cost, solved as a
-linear program on the occupied nodes.
+the scale axis is divided by the profile's own largest r (or kept raw on a
+grid with ``r_max``), every triangle observation is snapped to its nearest
+grid node, and node masses are triangle counts over the total. Two
+distributions on the same grid are compared by exact optimal transport with
+Euclidean ground cost, solved as a linear program on the occupied nodes.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +32,20 @@ RHO_RANGE = (1.0, 2.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform node lattice over the (r_norm, rho) rectangle; rho spans ``RHO_RANGE``."""
+    """Uniform (r, rho) lattice: r on [0, 1] (each profile over its own largest r) or raw on [0, r_max]."""
 
     nr: int = 50
     nrho: int = 50
-    r_range: tuple = (0.0, 1.0)
+    r_max: float | None = None
 
     def __post_init__(self):
         if self.nr < 1 or self.nrho < 1:
             raise InputError(f"grid needs at least one node per axis, got {self.nr}x{self.nrho}")
+        if self.r_max is not None and not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise InputError(f"grid r_max must be finite and > 0, got {self.r_max!r}")
 
     def nodes(self):
-        r_axis = np.linspace(self.r_range[0], self.r_range[1], self.nr)
+        r_axis = np.linspace(0.0, self.r_max or 1.0, self.nr)
         rho_axis = np.linspace(RHO_RANGE[0], RHO_RANGE[1], self.nrho)
         rr, pp = np.meshgrid(r_axis, rho_axis, indexing="ij")
         return np.column_stack([rr.ravel(), pp.ravel()])
@@ -51,7 +54,7 @@ class GridSpec:
         return {
             "nr": self.nr,
             "nrho": self.nrho,
-            "r_range": list(self.r_range),
+            "r_range": [0.0, self.r_max or 1.0],
             "rho_range": list(RHO_RANGE),
         }
 
@@ -79,20 +82,24 @@ class ProfileDistribution:
             raise InputError(f"masses sum to {self.mass.sum()}, not 1")
 
 
-def to_distribution(profile, grid=None, normalize_r=True) -> ProfileDistribution:
+def to_distribution(profile, grid=None) -> ProfileDistribution:
     """Snap a profile's (r, rho) triangle observations onto the grid.
 
-    Each triangle is one observation at (r / max_r, rho) (raw r when
-    ``normalize_r`` is off); nearest-node assignment runs through a kd-tree
-    and node mass is the snapped count over the total triangle count.
+    Each triangle is one observation at (r / max_r, rho), or at raw (r, rho)
+    on a grid with ``r_max``, which must reach the profile's largest r.
+    Nearest-node assignment runs through a kd-tree, so a tie between
+    equidistant nodes goes to whichever node ``cKDTree`` returns; node mass
+    is the snapped count over the total triangle count.
     """
     records = profile["records"]
     if not records:
         raise EmptyResultError("cannot build a distribution from an empty profile")
     grid = grid or GridSpec()
     r = np.array([rec["r"] for rec in records], dtype=np.float64)
-    if normalize_r:
+    if grid.r_max is None:
         r /= r.max()
+    elif r.max() > grid.r_max:
+        raise InputError(f"profile reaches r = {float(r.max())!r}, beyond the grid's r_max = {grid.r_max!r}")
     obs = np.column_stack((
         np.repeat(r, [len(rec["rho_values"]) for rec in records]),
         np.concatenate([rec["rho_values"] for rec in records]),
@@ -120,9 +127,10 @@ def _restricted_lp(p, q, M, k):
         shape=(a + b, k.size),
     ).tocsr()[:-1]
     # presolve moved neither the plan nor the iteration count here, and cost a quarter of the solve;
-    # at HiGHS's default feasibility tolerance (1e-7) a basic flow can end below 0 and the cost below the optimum
+    # at HiGHS's default primal tolerance (1e-7) a basic flow can end below 0 and the cost below the optimum;
+    # at its default dual tolerance (1e-7) the cost can stop 1e-9 above the optimum on raw r axes of a few hundred
     res = linprog(M.ravel()[k], A_eq=A_eq, b_eq=np.concatenate([p, q[:-1]]), bounds=(0, None), method="highs",
-                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9})
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     if res.x.min() < -1e-12:
@@ -191,31 +199,26 @@ def _solve_transport_lp(p, q, M):
 def wasserstein1(P: ProfileDistribution, Q: ProfileDistribution, return_plan=False):
     """Exact W1 between two distributions on the same grid.
 
-    Euclidean ground metric on the (r_norm, rho) coordinates. The side with
-    the smaller ``_dist_key`` is the LP's source, so the result is exactly
-    symmetric; identical inputs short-circuit to zero. With ``return_plan``
-    the result is ``(cost, flows)``: the nonzero flows as (index in P,
-    index in Q, amount) tuples. Above ``_COLUMN_BUDGET`` flows the LP is
-    priced from a shortlist (``_solve_transport_lp``): the cost is the same
-    optimum, but the plan may be another optimal one.
+    Euclidean ground metric on the grid's (r, rho) coordinates. The side
+    with the smaller ``_dist_key`` is the LP's source, so the result is
+    exactly symmetric; identical inputs short-circuit to zero. With
+    ``return_plan`` the result is ``(cost, plan)``: the len(P) x len(Q) array
+    of mass moved from each node of P to each node of Q. Above
+    ``_COLUMN_BUDGET`` flows the LP is priced from a shortlist
+    (``_solve_transport_lp``): the cost is the same optimum, but the plan may
+    be another optimal one.
     """
     if P.grid != Q.grid:
         raise InputError("distributions live on different grids")
     key_p, key_q = _dist_key(P), _dist_key(Q)
     if key_p == key_q:
-        if return_plan:
-            return 0.0, tuple((i, i, float(m)) for i, m in enumerate(P.mass))
-        return 0.0
+        return (0.0, np.diag(P.mass)) if return_plan else 0.0
     swapped = key_q < key_p
     src, dst = (Q, P) if swapped else (P, Q)
     plan, cost = _solve_transport_lp(src.mass, dst.mass, cdist(src.support, dst.support))
     if not return_plan:
         return cost
-    i, j = np.nonzero(plan > 1e-15)
-    amounts = plan[i, j]
-    if swapped:
-        i, j = j, i
-    return cost, tuple(zip(i.tolist(), j.tolist(), amounts.tolist()))
+    return cost, plan.T if swapped else plan
 
 
 def estimate_dimension(original, embedded, grid=None, on_empty="error"):

@@ -115,15 +115,16 @@ def rho_circle_closed_form(angle):
     return 2 * math.pi / angle - 1
 
 
-def to_distribution_loop(profile, grid, normalize_r):
+def to_distribution_loop(profile, grid):
     """(observations, support, mass) of a profile on ``grid``.
 
-    The observations are built one Python tuple per rho value.
+    The observations are built one Python tuple per rho value; r is divided
+    by the profile's largest r unless the grid has an ``r_max``.
     """
     max_r = max(rec["r"] for rec in profile["records"])
     obs = []
     for rec in profile["records"]:
-        r = rec["r"] / max_r if normalize_r else rec["r"]
+        r = rec["r"] / max_r if grid.r_max is None else rec["r"]
         for rho in rec["rho_values"]:
             obs.append((r, rho))
     obs = np.asarray(obs)
@@ -183,9 +184,9 @@ def w1_dense_lp(P, Q):
     for j in range(b):
         A_eq[a + j, j::b] = 1.0
     b_eq = np.concatenate([P.mass, Q.mass])
-    # HiGHS's default feasibility tolerance (1e-7) can leave a flow below 0 and the cost below the optimum
+    # HiGHS's default feasibility tolerances (1e-7) can leave a flow below 0 and the cost off the optimum
     res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-9})
+                  options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9})
     assert res.success, res.message
     return float(res.fun)
 
@@ -199,7 +200,7 @@ def transport_lp_full(p, q, M):
     ).tocsr()[:-1]
     b_eq = np.concatenate([p, q[:-1]])
     res = linprog(M.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9})
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9})
     assert res.success, res.message
     return res.x.reshape(a, b), float(res.fun)
 

@@ -297,6 +297,9 @@ class TestCompareCommand:
         payload = json.loads((tmp_path / "cmp.json").read_text())
         assert payload["w1"] == 0.0
         assert payload["grid"]["nr"] == 50
+        # the plan of identical inputs keeps each node's mass in place
+        mass = curvprof.to_distribution(curvprof.load_profile_json(tmp_path / "p.profile.json")).mass
+        assert payload["plan_summary"] == {"n_flows": len(mass), "max_flow": float(mass.max())}
 
     def test_different_profiles_positive(self, tmp_path):
         c6 = tmp_path / "c6.edges"
@@ -310,7 +313,13 @@ class TestCompareCommand:
              "--out", str(tmp_path / "ab.json")]
         )
         assert rc == 0
-        assert json.loads((tmp_path / "ab.json").read_text())["w1"] > 0.5
+        payload = json.loads((tmp_path / "ab.json").read_text())
+        assert payload["w1"] > 0.5
+        # a basic optimal plan of an a x b LP moves mass along at most a + b - 1 flows
+        a, b = (len(curvprof.to_distribution(curvprof.load_profile_json(tmp_path / f"{x}.profile.json")).mass)
+                for x in "ab")
+        assert max(a, b) <= payload["plan_summary"]["n_flows"] <= a + b - 1
+        assert 0 < payload["plan_summary"]["max_flow"] <= 1
 
     def test_malformed_profile_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -82,6 +82,13 @@ class TestToDistribution:
         with pytest.raises(EmptyResultError):
             to_distribution(p)
 
+    def test_raw_r_beyond_the_grid_rejected(self):
+        # snapped onto a [0, 1] axis, r = 7 and r = 3 would both land on r = 1 and the two profiles would read W1 0
+        grid = GridSpec(r_max=1.0)
+        for top in (7.0, 3.0):
+            with pytest.raises(InputError, match=f"r = {top!r}, beyond the grid's r_max = 1.0"):
+                to_distribution(make_profile([(1.0, [1.5]), (top, [1.5])]), grid)
+
     def test_masses_sum_to_one(self):
         rng = np.random.default_rng(0)
         edges = oracles.random_connected_er(rng, 30, 0.15)
@@ -171,6 +178,18 @@ class TestWasserstein:
         with pytest.raises(InputError, match="at least one node"):
             GridSpec(nr=shape[0], nrho=shape[1])
 
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_grid_r_max_must_be_finite_and_positive(self, r_max):
+        with pytest.raises(InputError, match="r_max must be finite and > 0"):
+            GridSpec(r_max=r_max)
+
+    def test_normalised_and_raw_distributions_rejected(self):
+        p = make_profile([(0.5, [1.5]), (1.0, [1.2])])
+        P, Q = to_distribution(p), to_distribution(p, GridSpec(r_max=1.0))
+        np.testing.assert_array_equal(P.support, Q.support)
+        with pytest.raises(InputError, match="different grids"):
+            wasserstein1(P, Q)
+
     def test_against_dense_lp_and_network_simplex_oracles(self):
         grid = GridSpec()
         rng = np.random.default_rng(2)
@@ -198,11 +217,23 @@ class TestWasserstein:
         P, Q = measure(), measure()
         assert (len(P.mass), len(Q.mass)) == (102, 96)
         assert transport._solve_transport_lp(P.mass, Q.mass, cdist(P.support, Q.support))[0].min() >= 0.0
-        cost, flows = wasserstein1(P, Q, return_plan=True)
-        i, j, amount = (np.array(col) for col in zip(*flows))
-        assert np.abs(np.bincount(i, amount, minlength=len(P.mass)) - P.mass).max() <= 1e-12
-        assert np.abs(np.bincount(j, amount, minlength=len(Q.mass)) - Q.mass).max() <= 1e-12
+        cost, plan = wasserstein1(P, Q, return_plan=True)
+        assert np.abs(plan.sum(axis=1) - P.mass).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - Q.mass).max() <= 1e-12
         assert abs(cost - oracles.w1_network_simplex(P, Q)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 914])
+    def test_raw_r_axis_pair_is_exact(self, seed):
+        # at HiGHS's default dual tolerance (1e-7) these pairs read 9.7e-10 (seed 0) and 1.6e-9 (seed 914) above W1
+        rng, grid = np.random.default_rng(seed), GridSpec(r_max=300.0)
+        nodes = grid.nodes()
+
+        def measure(k):
+            idx, w = np.sort(rng.choice(len(nodes), k, replace=False)), rng.random(k)
+            return ProfileDistribution(nodes[idx], w / w.sum(), grid)
+
+        P, Q = (measure(k) for k in [rng.integers(5, 30) for _ in range(2)])
+        assert abs(wasserstein1(P, Q) - oracles.w1_network_simplex(P, Q)) <= 1e-12 * grid.r_max
 
     def test_large_pair_prices_under_a_quarter_of_its_flows(self, monkeypatch):
         # HiGHS's memory grows with the LP's columns and tracemalloc cannot see it, so count the columns
@@ -247,18 +278,19 @@ class TestWasserstein:
         rng = np.random.default_rng(5)
         P = random_distribution(rng, grid)
         Q = random_distribution(rng, grid)
-        cost, flows = wasserstein1(P, Q, return_plan=True)
-        row = np.zeros(len(P.mass))
-        col = np.zeros(len(Q.mass))
-        for i, j, amt in flows:
-            assert amt >= 0
-            row[i] += amt
-            col[j] += amt
-        assert np.abs(row - P.mass).max() <= 1e-10
-        assert np.abs(col - Q.mass).max() <= 1e-10
+        cost, plan = wasserstein1(P, Q, return_plan=True)
+        assert plan.shape == (len(P.mass), len(Q.mass))
+        assert plan.min() >= 0
+        assert np.abs(plan.sum(axis=1) - P.mass).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - Q.mass).max() <= 1e-12
         assert cost == wasserstein1(P, Q)
-        moved = sum(amt * np.linalg.norm(P.support[i] - Q.support[j]) for i, j, amt in flows)
-        assert cost == pytest.approx(moved, abs=1e-12)
+        assert cost == pytest.approx(float((plan * cdist(P.support, Q.support)).sum()), abs=1e-12)
+
+    def test_plan_of_identical_inputs_keeps_each_mass_in_place(self):
+        P = random_distribution(np.random.default_rng(8), GridSpec())
+        cost, plan = wasserstein1(P, P, return_plan=True)
+        assert cost == 0.0
+        assert plan.tobytes() == np.diag(P.mass).tobytes()
 
     def test_repeated_solves_match_in_either_order(self):
         grid = GridSpec()
@@ -268,9 +300,11 @@ class TestWasserstein:
         first_qp = wasserstein1(Q, P, return_plan=True)
         first_pq = wasserstein1(P, Q, return_plan=True)
         for a, b, first in ((P, Q, first_pq), (Q, P, first_qp)) * 2:
-            assert wasserstein1(a, b, return_plan=True) == first
+            cost, plan = wasserstein1(a, b, return_plan=True)
+            assert cost == first[0]
+            assert plan.tobytes() == first[1].tobytes()
             assert wasserstein1(a, b) == first[0]
-        assert first_qp[1] == tuple((j, i, amount) for i, j, amount in first_pq[1])
+        assert first_qp[1].T.tobytes() == first_pq[1].tobytes()
 
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(6)
